@@ -2,9 +2,7 @@ package clsm
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"strconv"
 	"time"
 
 	"clsm/internal/backup"
@@ -73,25 +71,12 @@ func (be *BackupEngine) engine(o *obs.Observer) *backup.Engine {
 	})
 }
 
-// backupObserver picks the observer backup activity is recorded on: the
-// engine's own for an unsharded store, shard 0's for a sharded one (the
-// aggregate DB.Observer view includes it either way).
-func (db *DB) backupObserver() *obs.Observer {
-	if db.sh != nil {
-		return db.sh.Observers()[0]
-	}
-	return db.inner.Observer()
-}
-
-// backupSources lists the stores a backup of this DB ships: the single
-// engine, or one source per shard labeled with its directory prefix.
+// backupSources lists the stores a backup of this DB ships: one source
+// per shard, labeled with its directory prefix ("" for the flat layout).
 func (db *DB) backupSources() []backup.Source {
-	if db.sh == nil {
-		return []backup.Source{{DB: db.inner}}
-	}
 	srcs := make([]backup.Source, db.sh.NumShards())
 	for i := range srcs {
-		srcs[i] = backup.Source{Prefix: shardDir(i), DB: db.sh.Shard(i)}
+		srcs[i] = backup.Source{Prefix: shardDir(db.shards, i), DB: db.sh.Shard(i)}
 	}
 	return srcs
 }
@@ -110,23 +95,12 @@ func (db *DB) Checkpoint(dir string) (int, error) {
 	if dir == "" {
 		return 0, fmt.Errorf("%w: checkpoint requires a target directory", ErrInvalidOptions)
 	}
-	if db.sh == nil {
-		dst, err := storage.NewOSFS(dir)
-		if err != nil {
-			return 0, err
-		}
-		return db.inner.Checkpoint(dst)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, err
-	}
-	marker := strconv.Itoa(db.sh.NumShards()) + "\n"
-	if err := os.WriteFile(filepath.Join(dir, shardMarkerFile), []byte(marker), 0o644); err != nil {
+	if err := writeShardMarker(dir, db.shards); err != nil {
 		return 0, err
 	}
 	total := 0
 	for i := 0; i < db.sh.NumShards(); i++ {
-		dst, err := storage.NewOSFS(filepath.Join(dir, shardDir(i)))
+		dst, err := storage.NewOSFS(filepath.Join(dir, shardDir(db.shards, i)))
 		if err != nil {
 			return total, err
 		}
@@ -148,17 +122,11 @@ func (db *DB) Checkpoint(dir string) (int, error) {
 // uploads are removed and the error wraps ErrBackupFailed; the previous
 // backup remains the restore point.
 func (db *DB) Backup(be *BackupEngine) (*BackupManifest, error) {
-	eng := be.engine(db.backupObserver())
+	first := db.sh.Shard(0)
+	eng := be.engine(first.Observer())
 	var m *BackupManifest
 	var err error
-	run := func() { m, err = eng.Backup(db.backupSources()...) }
-	var jerr error
-	if db.sh != nil {
-		jerr = db.sh.Shard(0).RunBackupJob(run)
-	} else {
-		jerr = db.inner.RunBackupJob(run)
-	}
-	if jerr != nil {
+	if jerr := first.RunBackupJob(func() { m, err = eng.Backup(db.backupSources()...) }); jerr != nil {
 		return nil, jerr
 	}
 	return m, err
@@ -184,29 +152,23 @@ func (be *BackupEngine) Restore(id uint64, path string) (*BackupManifest, error)
 		return nil, fmt.Errorf("%w: restore requires a target directory", ErrInvalidOptions)
 	}
 	m, err := be.engine(obs.New()).Restore(id, func(prefix string) (storage.FS, error) {
-		if prefix == "" {
-			return storage.NewOSFS(path)
-		}
 		return storage.NewOSFS(filepath.Join(path, prefix))
 	})
 	if err != nil {
 		return nil, err
 	}
-	shards := 0
+	shards := 0 // the flat layout's single image has the empty prefix
 	for _, st := range m.Stores {
 		if st.Prefix != "" {
 			shards++
 		}
 	}
-	if shards > 0 {
-		marker := strconv.Itoa(shards) + "\n"
-		if err := os.WriteFile(filepath.Join(path, shardMarkerFile), []byte(marker), 0o644); err != nil {
-			return nil, err
-		}
+	if err := writeShardMarker(path, shards); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// ensure the dual-dispatch DB type always satisfies the internal
-// checkpoint contract the backup engine consumes.
+// Every shard engine satisfies the checkpoint contract the backup engine
+// consumes.
 var _ backup.Checkpointer = (*core.DB)(nil)

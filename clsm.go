@@ -32,6 +32,23 @@
 // The struct form clsm.Open(clsm.Options{...}) configures the same
 // settings; both constructors delegate onto one path.
 //
+// # One facade, N engines
+//
+// Every DB is a hash-partitioned facade over N independent engines
+// (docs/SHARDING.md); an unsharded store is N=1, so every operation runs
+// the same code at any shard count. Options.Shards (WithShards,
+// OpenSharded) picks N and the on-disk layout, and nothing else:
+//
+//   - Shards == 0 (the default) is the flat layout: one engine whose
+//     files live in the store directory itself.
+//   - Shards >= 1 is the sharded layout: a CLSM_SHARDS marker in the
+//     store directory records the count, and shard i lives in the
+//     subdirectory shard-%03d. Routing depends on the count, so a store
+//     reopens only with the count it was created with.
+//
+// Checkpoints and backups keep the layout of the store they were taken
+// from.
+//
 // # Observability
 //
 // Every store continuously records operation latency histograms, block
@@ -42,8 +59,11 @@ package clsm
 
 import (
 	"context"
+	"fmt"
+	"path/filepath"
 
 	"clsm/internal/batch"
+	"clsm/internal/cache"
 	"clsm/internal/core"
 	"clsm/internal/obs"
 	"clsm/internal/shard"
@@ -66,44 +86,77 @@ type Metrics = core.Metrics
 // DB is a concurrent LSM key-value store. All methods are safe for
 // concurrent use by any number of goroutines.
 //
-// A DB is either a single engine or — when opened with Options.Shards,
-// WithShards, or OpenSharded — a hash-partitioned facade over several
-// independent engines (docs/SHARDING.md). The API is identical either
-// way; exactly one of the two fields is set.
+// Every DB is the shard facade over N engines; an unsharded store is
+// simply N=1. Options.Shards only decides N and the on-disk layout (see
+// shardDir), so the API and the code path are the same either way.
 type DB struct {
-	inner *core.DB
-	sh    *shard.DB
+	sh     *shard.DB
+	shards int // Options.Shards as opened; 0 selects the flat layout
 }
 
 // Open creates or opens a store configured by the options struct. It is
 // equivalent to OpenPath with the corresponding With* options; both
-// constructors lower onto the same engine configuration.
+// constructors lower onto the same engine configuration: one engine per
+// shard, each with its own FS root and observer, sharing one block cache,
+// plus (past one shard) the memory governor's fixed budget.
 func Open(opts Options) (*DB, error) {
-	if opts.Shards != 0 {
-		return openSharded(opts)
+	n := max(opts.Shards, 1)
+	switch {
+	case opts.Shards < 0:
+		return nil, fmt.Errorf("%w: WithShards requires at least 1 shard", ErrInvalidOptions)
+	case n > MaxShards:
+		return nil, fmt.Errorf("%w: %d shards exceeds MaxShards (%d)", ErrInvalidOptions, n, MaxShards)
+	case n > 1 && opts.LinearizableSnapshots:
+		return nil, fmt.Errorf("%w: LinearizableSnapshots requires a single shard (shard oracles are independent; there is no cross-shard timestamp)", ErrInvalidOptions)
 	}
-	if err := rejectShardedLayout(opts.Path); err != nil {
+	if err := checkLayout(opts.Path, opts.Shards); err != nil {
 		return nil, err
 	}
-	var fs storage.FS
-	if opts.Path == "" {
-		fs = storage.NewMemFS()
-	} else {
-		osfs, err := storage.NewOSFS(opts.Path)
-		if err != nil {
-			return nil, err
+
+	cacheSize := opts.BlockCacheSize
+	if cacheSize <= 0 {
+		cacheSize = 32 << 20 // the engine default, resolved here for the shared pool
+	}
+	pool := cache.New(cacheSize)
+	sopts := shard.Options{}
+	if n > 1 {
+		// One fixed byte budget for the whole store: every shard's
+		// memtable quota plus the shared cache. The governor shifts
+		// bytes inside it; it never grows the total.
+		mem := opts.MemtableSize
+		if mem <= 0 {
+			mem = 4 << 20
 		}
-		fs = osfs
+		sopts.Governor = shard.GovernorConfig{
+			TotalBytes: int64(n)*mem + cacheSize,
+			Cache:      pool,
+		}
 	}
-	observer := obs.New()
-	if opts.EventSink != nil {
-		observer.Trace.SetSink(opts.EventSink)
+	for i := 0; i < n; i++ {
+		var fs storage.FS
+		if opts.Path == "" {
+			fs = storage.NewMemFS()
+		} else {
+			osfs, err := storage.NewOSFS(filepath.Join(opts.Path, shardDir(opts.Shards, i)))
+			if err != nil {
+				return nil, err
+			}
+			fs = osfs
+		}
+		observer := obs.New()
+		observer.Trace.SetShard(i)
+		if opts.EventSink != nil {
+			observer.Trace.SetSink(opts.EventSink)
+		}
+		eng := opts.engineOptions(fs, observer)
+		eng.BlockCache = pool.View(i)
+		sopts.Engines = append(sopts.Engines, eng)
 	}
-	inner, err := core.Open(opts.engineOptions(fs, observer))
+	sh, err := shard.Open(sopts)
 	if err != nil {
 		return nil, err
 	}
-	return &DB{inner: inner}, nil
+	return &DB{sh: sh, shards: opts.Shards}, nil
 }
 
 // OpenPath creates or opens the store at path (empty path = volatile
@@ -123,32 +176,17 @@ func OpenPath(path string, options ...Option) (*DB, error) {
 
 // Put stores (key, value), overwriting any previous value. It never blocks
 // except during memtable-merge pointer swaps and write stalls.
-func (db *DB) Put(key, value []byte) error {
-	if db.sh != nil {
-		return db.sh.Put(key, value)
-	}
-	return db.inner.Put(key, value)
-}
+func (db *DB) Put(key, value []byte) error { return db.sh.Put(key, value) }
 
 // Get returns the current value of key. ok is false when the key is absent
 // or deleted — absence is not an error (see the package error docs). Gets
 // never block.
-func (db *DB) Get(key []byte) (value []byte, ok bool, err error) {
-	if db.sh != nil {
-		return db.sh.Get(key)
-	}
-	return db.inner.Get(key)
-}
+func (db *DB) Get(key []byte) (value []byte, ok bool, err error) { return db.sh.Get(key) }
 
 // Has reports whether key is present (not deleted). It mirrors Get's
 // tri-state contract: absence is (false, nil), err is reserved for real
 // failures. Snapshot.Has is the snapshot-scoped equivalent.
-func (db *DB) Has(key []byte) (bool, error) {
-	if db.sh != nil {
-		return db.sh.Has(key)
-	}
-	return db.inner.Has(key)
-}
+func (db *DB) Has(key []byte) (bool, error) { return db.sh.Has(key) }
 
 // MultiGet returns the current value of every key in one call:
 // results[i] corresponds to keys[i], with absence reported per key through
@@ -156,29 +194,14 @@ func (db *DB) Has(key []byte) (bool, error) {
 // consistent component set — cheaper and stronger than a Get loop, which
 // may interleave with flushes. Snapshot.MultiGet is the snapshot-scoped
 // equivalent.
-func (db *DB) MultiGet(keys [][]byte) ([]Value, error) {
-	if db.sh != nil {
-		return db.sh.MultiGet(keys)
-	}
-	return db.inner.MultiGet(keys)
-}
+func (db *DB) MultiGet(keys [][]byte) ([]Value, error) { return db.sh.MultiGet(keys) }
 
 // Delete removes key.
-func (db *DB) Delete(key []byte) error {
-	if db.sh != nil {
-		return db.sh.Delete(key)
-	}
-	return db.inner.Delete(key)
-}
+func (db *DB) Delete(key []byte) error { return db.sh.Delete(key) }
 
 // Write applies the batch atomically: concurrent readers and snapshots see
 // either all of the batch or none of it.
-func (db *DB) Write(b *Batch) error {
-	if db.sh != nil {
-		return db.sh.Write(b)
-	}
-	return db.inner.Write(b)
-}
+func (db *DB) Write(b *Batch) error { return db.sh.Write(b) }
 
 // PutCtx is Put with cancellation: write-admission throttle waits,
 // memtable/L0 stalls, and the bounded degraded-mode stall
@@ -188,76 +211,41 @@ func (db *DB) Write(b *Batch) error {
 // server (cmd/clsm-server) threads every request's context through these
 // variants; see docs/NETWORK.md.
 func (db *DB) PutCtx(ctx context.Context, key, value []byte) error {
-	if db.sh != nil {
-		return db.sh.PutCtx(ctx, key, value)
-	}
-	return db.inner.PutCtx(ctx, key, value)
+	return db.sh.PutCtx(ctx, key, value)
 }
 
 // GetCtx is Get with a context. Reads never block, so ctx is checked once
 // at entry: a canceled or expired context fails fast with ctx.Err().
 func (db *DB) GetCtx(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	if db.sh != nil {
-		return db.sh.GetCtx(ctx, key)
-	}
-	return db.inner.GetCtx(ctx, key)
+	return db.sh.GetCtx(ctx, key)
 }
 
 // MultiGetCtx is MultiGet with a context, checked once at entry (reads
 // never block).
 func (db *DB) MultiGetCtx(ctx context.Context, keys [][]byte) ([]Value, error) {
-	if db.sh != nil {
-		return db.sh.MultiGetCtx(ctx, keys)
-	}
-	return db.inner.MultiGetCtx(ctx, keys)
+	return db.sh.MultiGetCtx(ctx, keys)
 }
 
 // DeleteCtx is Delete with cancellation (see PutCtx).
-func (db *DB) DeleteCtx(ctx context.Context, key []byte) error {
-	if db.sh != nil {
-		return db.sh.DeleteCtx(ctx, key)
-	}
-	return db.inner.DeleteCtx(ctx, key)
-}
+func (db *DB) DeleteCtx(ctx context.Context, key []byte) error { return db.sh.DeleteCtx(ctx, key) }
 
 // WriteCtx is Write with cancellation (see PutCtx): the pre-admission
 // waits honor ctx, and once the batch is admitted it applies atomically —
 // cancellation never splits a batch.
-func (db *DB) WriteCtx(ctx context.Context, b *Batch) error {
-	if db.sh != nil {
-		return db.sh.WriteCtx(ctx, b)
-	}
-	return db.inner.WriteCtx(ctx, b)
-}
+func (db *DB) WriteCtx(ctx context.Context, b *Batch) error { return db.sh.WriteCtx(ctx, b) }
 
 // RMW atomically replaces key's value with f(current). f may be called
 // multiple times on conflicts; it must be pure. This is the paper's
 // general non-blocking read-modify-write (Algorithm 3) — useful for
 // counters, vector-clock updates, and multisite reconciliation.
 func (db *DB) RMW(key []byte, f func(old []byte, exists bool) []byte) error {
-	if db.sh != nil {
-		return db.sh.RMW(key, f)
-	}
-	return db.inner.RMW(key, f)
+	return db.sh.RMW(key, f)
 }
 
 // GetSnapshot returns a consistent snapshot handle for point reads and
 // scans. Close it promptly: live snapshots pin old versions, blocking
 // their garbage collection during merges.
-func (db *DB) GetSnapshot() (*Snapshot, error) {
-	if db.sh != nil {
-		s, err := db.sh.GetSnapshot()
-		if err != nil {
-			return nil, err
-		}
-		return &Snapshot{s: s}, nil
-	}
-	c, err := db.inner.GetSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{c: c}, nil
-}
+func (db *DB) GetSnapshot() (*Snapshot, error) { return db.sh.GetSnapshot() }
 
 // NewIterator returns an iterator over a fresh implicit snapshot,
 // optionally bounded to a user-key range:
@@ -270,72 +258,35 @@ func (db *DB) GetSnapshot() (*Snapshot, error) {
 // Bounds clamp every positioning method and let the engine skip whole
 // sorted tables outside the range. Close the iterator when done.
 func (db *DB) NewIterator(opts ...IterOptions) (*Iterator, error) {
-	if db.sh != nil {
-		it, err := db.sh.NewIterator(opts...)
-		if err != nil {
-			return nil, err
-		}
-		return &Iterator{s: it}, nil
-	}
-	it, err := db.inner.NewIterator(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Iterator{c: it}, nil
+	return db.sh.NewIterator(opts...)
 }
 
 // Flush synchronously merges the memtable into the disk component. After
 // it returns, every previously acknowledged write is in a sorted table.
-func (db *DB) Flush() error {
-	if db.sh != nil {
-		return db.sh.Flush()
-	}
-	return db.inner.Flush()
-}
+func (db *DB) Flush() error { return db.sh.Flush() }
 
 // CompactRange synchronously flushes the memtable and compacts every level
 // downward, reclaiming shadowed versions and tombstones.
-func (db *DB) CompactRange() error {
-	if db.sh != nil {
-		return db.sh.CompactRange()
-	}
-	return db.inner.CompactRange()
-}
+func (db *DB) CompactRange() error { return db.sh.CompactRange() }
 
 // CompactValueLog synchronously garbage-collects the value log: every
 // segment whose garbage fraction is at or past Options.ValueLogGCRatio is
 // rewritten (live values relocated to the head of the log) and reclaimed.
 // A no-op on stores without separated values. See docs/VALUELOG.md.
-func (db *DB) CompactValueLog(ctx context.Context) error {
-	if db.sh != nil {
-		return db.sh.CompactValueLog(ctx)
-	}
-	return db.inner.CompactValueLog(ctx)
-}
+func (db *DB) CompactValueLog(ctx context.Context) error { return db.sh.CompactValueLog(ctx) }
 
-// Metrics returns a snapshot of the engine's counters.
-func (db *DB) Metrics() Metrics {
-	if db.sh != nil {
-		return db.sh.Metrics()
-	}
-	return db.inner.Metrics()
-}
+// Metrics returns a snapshot of the store's counters, summed over its
+// shards.
+func (db *DB) Metrics() Metrics { return db.sh.Metrics() }
 
 // Observer returns the store's observability substrate: per-op latency
 // histograms, substrate counters, and the engine event trace. Never nil;
 // recording is always on (it is allocation-free and contention-striped).
-func (db *DB) Observer() *Observer {
-	if db.sh != nil {
-		return db.sh.Observer()
-	}
-	return db.inner.Observer()
-}
+// On a one-engine store it is that engine's live observer; past one
+// shard it is a point-in-time aggregate of ShardObservers (call again
+// for fresh numbers).
+func (db *DB) Observer() *Observer { return db.sh.Observer() }
 
 // Close flushes the log and releases all resources. Unflushed writes are
 // recovered from the WAL on the next Open (unless DisableWAL was set).
-func (db *DB) Close() error {
-	if db.sh != nil {
-		return db.sh.Close()
-	}
-	return db.inner.Close()
-}
+func (db *DB) Close() error { return db.sh.Close() }

@@ -8,8 +8,9 @@ package main
 //     write-amplification reduction (each shard's tree is shallower, so
 //     background compaction burns less CPU per logical byte) plus N
 //     independent commit paths.
-//  2. parity — is the N=1 facade free? The sharded code path with one
-//     shard must match the unsharded engine within noise.
+//  2. parity — does the layout cost anything? Every store runs through
+//     the shard facade, so the flat store (Shards 0) and the one-shard
+//     store run the same code; the two must match within noise.
 //  3. governor — under a hot-shard workload, does the adaptive memory
 //     governor beat the same store with frozen equal-split budgets?
 

@@ -43,20 +43,10 @@ type HealthChange = health.Transition
 // sharded store this is the worst shard's state (states are ordered by
 // severity) with that shard's error; ShardObservers exposes the
 // per-shard detail.
-func (db *DB) Health() HealthStatus {
-	if db.sh != nil {
-		return db.sh.Health()
-	}
-	return db.inner.Health()
-}
+func (db *DB) Health() HealthStatus { return db.sh.Health() }
 
 // Resume manually returns a Degraded or ReadOnly store to Healthy — call
 // it after freeing disk space, or after offline repair of a corrupted
 // store whose risk you accept. Resuming a Healthy store is a no-op; a
 // Failed store is sticky and Resume returns its fatal cause.
-func (db *DB) Resume() error {
-	if db.sh != nil {
-		return db.sh.Resume()
-	}
-	return db.inner.Resume()
-}
+func (db *DB) Resume() error { return db.sh.Resume() }

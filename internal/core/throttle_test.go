@@ -38,7 +38,26 @@ func slowDiskDB(t *testing.T, d time.Duration, opt func(*Options)) (*DB, *faultf
 // and the backlog drains it deactivates and the debt gauge returns to
 // zero.
 func TestThrottleEngagesAndRecovers(t *testing.T) {
-	db, ffs := slowDiskDB(t, 2*time.Millisecond, nil)
+	// Tally the whole event stream through a sink: the trace ring keeps
+	// only the newest 1024 events, and a slow (e.g. race-instrumented)
+	// run records enough flush and stall events to wrap it.
+	var mu sync.Mutex
+	var ons, zeroRateOns, l0Stops int
+	o := obs.New()
+	o.Trace.SetSink(func(e obs.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		if e.Type == obs.EvThrottleOn {
+			ons++
+			if e.Bytes == 0 {
+				zeroRateOns++
+			}
+		}
+		if e.Type == obs.EvStallBegin && e.Cause == obs.CauseL0Stop {
+			l0Stops++
+		}
+	})
+	db, ffs := slowDiskDB(t, 2*time.Millisecond, func(opts *Options) { opts.Observer = o })
 
 	value := make([]byte, 512)
 	deadline := time.Now().Add(4 * time.Second)
@@ -54,21 +73,17 @@ func TestThrottleEngagesAndRecovers(t *testing.T) {
 		t.Fatal("write throttle never engaged under slow-disk load")
 	}
 
-	sawOn := false
-	for _, e := range db.obs.Trace.Events() {
-		if e.Type == obs.EvThrottleOn {
-			sawOn = true
-			if e.Bytes == 0 {
-				t.Error("throttle-on event carries zero rate")
-			}
-		}
-		if e.Type == obs.EvStallBegin && e.Cause == obs.CauseL0Stop {
-			t.Error("hard L0 stop fired despite the admission controller")
-		}
+	mu.Lock()
+	if zeroRateOns > 0 {
+		t.Error("throttle-on event carries zero rate")
 	}
-	if !sawOn {
+	if l0Stops > 0 {
+		t.Error("hard L0 stop fired despite the admission controller")
+	}
+	if ons == 0 {
 		t.Error("no throttle-on trace event recorded")
 	}
+	mu.Unlock()
 
 	// Load stopped: un-slow the disk and wait for the backlog to drain and
 	// the admitted rate to recover all the way to deactivation.

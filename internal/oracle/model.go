@@ -134,6 +134,20 @@ func (m *Model) Get(key string) (value []byte, ok bool) {
 	return vs[len(vs)-1].Value, true
 }
 
+// GetAt returns the value of key after every write issued at or before
+// step: the state of key as of a prefix of its history. ok is false if
+// no such write exists or the last one is a tombstone.
+func (m *Model) GetAt(key string, step uint64) (value []byte, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	vs := m.keys[key]
+	i := sort.Search(len(vs), func(i int) bool { return vs[i].Start > step })
+	if i == 0 || vs[i-1].Tombstone {
+		return nil, false
+	}
+	return vs[i-1].Value, true
+}
+
 // Keys returns every key the model has seen, sorted.
 func (m *Model) Keys() []string {
 	m.mu.Lock()

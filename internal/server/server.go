@@ -74,11 +74,12 @@ type Iterator interface {
 
 // ShardedEngine is the optional capability a hash-partitioned engine
 // exposes: per-shard observability substrates. When the engine
-// implements it (and reports more than one shard), the Stats opcode
+// implements it and reports more than one shard, the Stats opcode
 // carries a per-shard snapshot list alongside the aggregate, and the
-// server keeps its own substrate for server-side instrumentation
-// (a sharded engine's Observer() is a point-in-time aggregate, not a
-// live recording target).
+// server keeps its own substrate for server-side instrumentation (such
+// an engine's Observer() is a point-in-time aggregate, not a live
+// recording target). A one-shard engine's Observer() is live, so the
+// server records into it directly, as for any single engine.
 type ShardedEngine interface {
 	ShardObservers() []*obs.Observer
 }
@@ -138,7 +139,7 @@ func New(eng Engine, cfg Config) *Server {
 	var shardObs []*obs.Observer
 	o := eng.Observer()
 	if se, ok := eng.(ShardedEngine); ok {
-		if so := se.ShardObservers(); len(so) > 0 {
+		if so := se.ShardObservers(); len(so) > 1 {
 			// Sharded store: record server-side instrumentation into a
 			// dedicated substrate; the engine's per-shard observers are
 			// aggregated fresh per Stats request.

@@ -232,12 +232,23 @@ func (it *Iterator) pickMax() {
 // Valid reports whether the iterator is positioned at a key.
 func (it *Iterator) Valid() bool { return it.cur >= 0 }
 
-// Key returns the current key (valid until the next positioning call).
-func (it *Iterator) Key() []byte { return it.children[it.cur].Key() }
+// Key returns the current key (valid until the next positioning call),
+// or nil when the iterator is not positioned.
+func (it *Iterator) Key() []byte {
+	if it.cur < 0 {
+		return nil
+	}
+	return it.children[it.cur].Key()
+}
 
 // Value returns the current value (valid until the next positioning
-// call).
-func (it *Iterator) Value() []byte { return it.children[it.cur].Value() }
+// call), or nil when the iterator is not positioned.
+func (it *Iterator) Value() []byte {
+	if it.cur < 0 {
+		return nil
+	}
+	return it.children[it.cur].Value()
+}
 
 // Err returns the first error any shard's iterator encountered.
 func (it *Iterator) Err() error {

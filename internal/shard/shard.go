@@ -87,7 +87,10 @@ func Open(opts Options) (*DB, error) {
 			for _, s := range db.shards {
 				s.Close()
 			}
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+			if n > 1 {
+				err = fmt.Errorf("shard %d: %w", i, err)
+			}
+			return nil, err
 		}
 		db.shards = append(db.shards, eng)
 		db.obs = append(db.obs, eng.Observer())
@@ -393,9 +396,15 @@ func (db *DB) ApproximateSize(start, end []byte) uint64 {
 // Observers returns the per-shard observers, indexed by shard.
 func (db *DB) Observers() []*obs.Observer { return db.obs }
 
-// Observer returns a point-in-time aggregate of every shard's
+// Observer returns the only engine's live observer on a one-shard store,
+// and otherwise a point-in-time aggregate of every shard's
 // instrumentation (see obs.Aggregate); call again for fresh numbers.
-func (db *DB) Observer() *obs.Observer { return obs.Aggregate(db.obs...) }
+func (db *DB) Observer() *obs.Observer {
+	if len(db.obs) == 1 {
+		return db.obs[0]
+	}
+	return obs.Aggregate(db.obs...)
+}
 
 // MemtableBudgets returns the current per-shard memtable budgets (the
 // governor moves these at runtime).

@@ -8,18 +8,22 @@ import (
 	"clsm/internal/core"
 )
 
-// Txn is an optimistic transaction on a sharded store. Transactions are
-// single-shard: shards are fully independent engines with independent
-// oracles and WALs, so a cross-shard transaction would need a distributed
-// commit protocol the store deliberately does not have (the same boundary
-// batch atomicity stops at — see docs/SHARDING.md). The owning shard is
-// pinned by the first operation's key; any later key routing to a
-// different shard fails that operation with ErrInvalidOptions, leaving
-// the transaction usable on its pinned shard.
+// Txn is an optimistic transaction (core.Txn) on the facade. On a
+// one-shard store it begins on that shard at Begin, exactly like
+// core.DB.BeginTxnCtx: the snapshot is taken there and ctx or closed-store
+// errors surface from Begin.
 //
-// Because the shard is unknown until the first operation, the snapshot is
-// taken there, not at Begin — indistinguishable to the caller, who cannot
-// have observed anything through the transaction before its first read.
+// With more than one shard, transactions are single-shard: shards are
+// fully independent engines with independent oracles and WALs, so a
+// cross-shard transaction would need a distributed commit protocol the
+// store deliberately does not have (the same boundary batch atomicity
+// stops at — see docs/SHARDING.md). The owning shard is pinned by the
+// first operation's key; any later key routing to a different shard fails
+// that operation with ErrInvalidOptions, leaving the transaction usable on
+// its pinned shard. Because the shard is unknown until the first
+// operation, the snapshot is taken there, not at Begin — indistinguishable
+// to the caller, who cannot have observed anything through the
+// transaction before its first read.
 type Txn struct {
 	db    *DB
 	ctx   context.Context // begin context, applied at the deferred begin
@@ -31,13 +35,20 @@ type Txn struct {
 // BeginTxn starts a transaction (see Txn).
 func (db *DB) BeginTxn() (*Txn, error) { return db.BeginTxnCtx(nil) }
 
-// BeginTxnCtx is BeginTxn with a context, checked at the deferred
-// per-shard begin.
+// BeginTxnCtx is BeginTxn with a context, checked when the engine
+// transaction begins: at once on a one-shard store, at the first
+// operation otherwise.
 func (db *DB) BeginTxnCtx(ctx context.Context) (*Txn, error) {
 	if db.closed.Load() {
 		return nil, core.ErrClosed
 	}
-	return &Txn{db: db, ctx: ctx, shard: -1}, nil
+	t := &Txn{db: db, ctx: ctx, shard: -1}
+	if len(db.shards) == 1 {
+		if _, err := t.pin(nil); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
 }
 
 // pin resolves key's shard, beginning the underlying engine transaction
@@ -63,7 +74,9 @@ func (t *Txn) pin(key []byte) (*core.Txn, error) {
 	return t.inner, nil
 }
 
-// Get reads key at the transaction's snapshot (see core.Txn.Get).
+// Get reads key at the transaction's snapshot, seeing the transaction's
+// own buffered writes first (read-your-writes). External reads join the
+// read set validated at Commit.
 func (t *Txn) Get(key []byte) (value []byte, ok bool, err error) {
 	inner, err := t.pin(key)
 	if err != nil {
@@ -78,7 +91,8 @@ func (t *Txn) Has(key []byte) (bool, error) {
 	return ok, err
 }
 
-// Put buffers (key, value) for commit (see core.Txn.Put).
+// Put buffers (key, value); nothing is visible outside the transaction
+// until Commit. Key and value are copied.
 func (t *Txn) Put(key, value []byte) error {
 	inner, err := t.pin(key)
 	if err != nil {
@@ -104,29 +118,11 @@ func (t *Txn) Pending() int {
 	return t.inner.Pending()
 }
 
-// SnapshotTS exposes the pinned shard's snapshot timestamp (0 before the
-// first operation; timestamps are per-shard and only comparable within
-// one shard).
-func (t *Txn) SnapshotTS() uint64 {
-	if t.inner == nil {
-		return 0
-	}
-	return t.inner.SnapshotTS()
-}
-
-// CommitTS returns the committed batch's first timestamp on the pinned
-// shard, or 0 (see core.Txn.CommitTS).
-func (t *Txn) CommitTS() uint64 {
-	if t.inner == nil {
-		return 0
-	}
-	return t.inner.CommitTS()
-}
-
 // Shard returns the pinned shard index, or -1 if no operation has run.
 func (t *Txn) Shard() int { return t.shard }
 
-// Rollback discards the transaction; always safe to defer.
+// Rollback discards the transaction and releases its snapshot. It is a
+// no-op on a finished transaction, so deferring it is always safe.
 func (t *Txn) Rollback() {
 	if t.done {
 		return
@@ -137,11 +133,15 @@ func (t *Txn) Rollback() {
 	}
 }
 
-// Commit validates and applies the transaction on its pinned shard. A
+// Commit validates and applies the transaction on its pinned shard. On
+// conflict it returns a wrapped ErrTxnConflict; the transaction is
+// finished either way (retry by beginning a new one). A multi-shard
 // transaction that never ran an operation commits trivially.
 func (t *Txn) Commit() error { return t.CommitCtx(nil) }
 
-// CommitCtx is Commit with cancellation (see core.Txn.CommitCtx).
+// CommitCtx is Commit with cancellation for the pre-admission waits
+// (see core.DB.PutCtx). Once validation starts the commit runs to
+// completion.
 func (t *Txn) CommitCtx(ctx context.Context) error {
 	if t.done {
 		return fmt.Errorf("transaction already finished: %w", core.ErrClosed)

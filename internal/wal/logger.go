@@ -318,7 +318,10 @@ func (l *Logger) commitGroup(backlog *logReq, forceSync bool) {
 		// callers see where a transient errno came from; %w keeps the
 		// underlying sentinel reachable for errors.Is.
 		groupErr = fmt.Errorf("wal: commit group: %w", groupErr)
-		l.err.CompareAndSwap(nil, &groupErr)
+		// Poison with a copy: taking groupErr's own address would move it
+		// to the heap on every group, not only on this error path.
+		poison := groupErr
+		l.err.CompareAndSwap(nil, &poison)
 	}
 	if records > 0 && l.groupSize != nil {
 		l.groupSize.RecordValue(uint64(records))

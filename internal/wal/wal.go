@@ -41,6 +41,17 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// typeCRC holds the CRC-32C of each one-byte record type, the prefix every
+// fragment checksum starts from. Precomputing it keeps framing and reading
+// allocation-free: checksumming a fresh one-byte slice per fragment would
+// move that slice to the heap.
+var typeCRC = func() (t [256]uint32) {
+	for i := range t {
+		t[i] = crc32.Checksum([]byte{byte(i)}, castagnoli)
+	}
+	return t
+}()
+
 // ErrCorrupt reports a checksum or framing failure in the log.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
@@ -123,8 +134,7 @@ func (w *Writer) Queue(record []byte) {
 // emit frames one fragment into the write buffer.
 func (w *Writer) emit(t recordType, frag []byte) {
 	var hdr [headerSize]byte
-	crc := crc32.Checksum([]byte{byte(t)}, castagnoli)
-	crc = crc32.Update(crc, castagnoli, frag)
+	crc := crc32.Update(typeCRC[t], castagnoli, frag)
 	binary.LittleEndian.PutUint32(hdr[0:4], crc)
 	binary.LittleEndian.PutUint16(hdr[4:6], uint16(len(frag)))
 	hdr[6] = byte(t)
@@ -319,8 +329,7 @@ func (r *Reader) nextFragment() (recordType, []byte, error) {
 		}
 		frag := r.block[r.pos+headerSize : r.pos+headerSize+length]
 		wantCRC := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := crc32.Checksum([]byte{byte(t)}, castagnoli)
-		crc = crc32.Update(crc, castagnoli, frag)
+		crc := crc32.Update(typeCRC[t], castagnoli, frag)
 		if crc != wantCRC {
 			if r.finalBlock() {
 				// Checksum failure in the final block: indistinguishable

@@ -49,7 +49,9 @@ type Options struct {
 	// amplification. A global memory governor shifts memtable quota
 	// between shards and the shared block cache under skewed load. The
 	// shard count is part of the on-disk layout and must match on every
-	// reopen. Zero (the default) opens a single unsharded engine.
+	// reopen. Zero (the default) opens a single engine in the flat
+	// layout; 1 is also a single engine, in the sharded layout (see the
+	// package doc).
 	// Sharding cannot be combined with LinearizableSnapshots (there is
 	// no cross-shard timestamp). See docs/SHARDING.md.
 	Shards int

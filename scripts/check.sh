@@ -9,7 +9,9 @@
 # background-fault suite (health state machine, degraded retry,
 # read-only quarantine) under -race. CRASHTEST_SEED and CRASHTEST_OPS
 # override the crash/oracle workload (a failing CI run prints the pair
-# to replay it).
+# to replay it). The allocation gates, the crash matrices, the oracle
+# and the serializability suites run at -cpu 1,2,4, so each invariant is
+# checked under real parallelism as well as on one P.
 # The full suite is `go test ./...`.
 set -eux
 
@@ -25,8 +27,8 @@ fi
 go vet ./...
 go build ./...
 go test -race ./internal/obs ./internal/core ./internal/wal ./internal/batch
-go test ./internal/core ./internal/obs ./internal/shard -run 'Allocs'
-go test -race -short ./internal/faultfs ./internal/oracle ./internal/crashtest
+go test -cpu 1,2,4 . ./internal/core ./internal/obs ./internal/shard -run 'Allocs'
+go test -race -short -cpu 1,2,4 ./internal/faultfs ./internal/oracle ./internal/crashtest
 go test -race -run 'Health|Degraded|ReadOnly' ./internal/...
 
 # Network layer: the shared frame codec, the pipelining/coalescing
@@ -62,7 +64,7 @@ END {
 # the threshold is deliberately loose (±25%); BENCH_shard.json records
 # the median-of-pairs number at small scale.
 go test -race -short ./internal/shard
-go test -race -short -run 'Shard' . ./internal/server ./internal/crashtest
+go test -race -short -cpu 1,2,4 -run 'Shard' . ./internal/server ./internal/crashtest
 go run ./cmd/clsm-bench -shard-profile -scale smoke -shard-out /tmp/clsm_shard_check.json
 awk '
 /"speedup"/ { sp = $2 + 0 }
@@ -82,7 +84,7 @@ END {
 # the remote TxnWrite path end to end — then a smoke-scale profile run as
 # a sanity tripwire: every mode must make progress and the optimistic
 # retry loop must converge (conflict rate strictly below 1).
-go test -race -short -run 'Txn|Serial' . ./internal/core ./internal/oracle ./internal/shard ./internal/crashtest ./internal/server ./clsmclient
+go test -race -short -cpu 1,2,4 -run 'Txn|Serial' . ./internal/core ./internal/oracle ./internal/shard ./internal/crashtest ./internal/server ./clsmclient
 go run ./cmd/clsm-bench -txn-profile -scale smoke -txn-out /tmp/clsm_txn_check.json
 awk '
 /"txn_vs_batch_uniform"/ { ratio = $2 + 0 }

@@ -7,11 +7,7 @@ import (
 	"strconv"
 	"strings"
 
-	"clsm/internal/cache"
-	"clsm/internal/core"
-	"clsm/internal/obs"
 	"clsm/internal/shard"
-	"clsm/internal/storage"
 	"clsm/internal/version"
 )
 
@@ -39,82 +35,39 @@ func OpenSharded(path string, shards int, options ...Option) (*DB, error) {
 	return OpenPath(path, append([]Option{WithShards(shards)}, options...)...)
 }
 
-// openSharded lowers the public Options onto per-shard engine options
-// (one FS root, one namespaced block-cache view, and one observer per
-// shard) and a governor budget, then opens the shard facade.
-func openSharded(o Options) (*DB, error) {
-	n := o.Shards
-	if n < 1 {
-		return nil, fmt.Errorf("%w: WithShards requires at least 1 shard", ErrInvalidOptions)
+// shardDir names shard i's directory under the store root for a store
+// opened with Options.Shards = shards: the root itself for the flat
+// layout (shards == 0), shard-%03d otherwise (see the package doc). It
+// and writeShardMarker are the one place the layout is decided; Open,
+// Checkpoint, Backup and Restore all go through them.
+func shardDir(shards, i int) string {
+	if shards == 0 {
+		return ""
 	}
-	if n > MaxShards {
-		return nil, fmt.Errorf("%w: %d shards exceeds MaxShards (%d)", ErrInvalidOptions, n, MaxShards)
-	}
-	if n > 1 && o.LinearizableSnapshots {
-		return nil, fmt.Errorf("%w: LinearizableSnapshots requires a single shard (shard oracles are independent; there is no cross-shard timestamp)", ErrInvalidOptions)
-	}
-	if o.Path != "" {
-		if err := checkShardMarker(o.Path, n); err != nil {
-			return nil, err
-		}
-	}
-
-	// Resolve the two budget knobs locally (the engine applies the same
-	// defaults) so the governor's fixed total is known.
-	mem := o.MemtableSize
-	if mem <= 0 {
-		mem = 4 << 20
-	}
-	cacheSize := o.BlockCacheSize
-	if cacheSize <= 0 {
-		cacheSize = 32 << 20
-	}
-	pool := cache.New(cacheSize)
-
-	sopts := shard.Options{}
-	if n > 1 {
-		// One fixed byte budget for the whole store: every shard's
-		// memtable quota plus the shared cache. The governor shifts
-		// bytes inside it; it never grows the total.
-		sopts.Governor = shard.GovernorConfig{
-			TotalBytes: int64(n)*mem + cacheSize,
-			Cache:      pool,
-		}
-	}
-	for i := 0; i < n; i++ {
-		var fs storage.FS
-		if o.Path == "" {
-			fs = storage.NewMemFS()
-		} else {
-			osfs, err := storage.NewOSFS(filepath.Join(o.Path, shardDir(i)))
-			if err != nil {
-				return nil, err
-			}
-			fs = osfs
-		}
-		observer := obs.New()
-		observer.Trace.SetShard(i)
-		if o.EventSink != nil {
-			observer.Trace.SetSink(o.EventSink)
-		}
-		eng := o.engineOptions(fs, observer)
-		eng.BlockCache = pool.View(i)
-		sopts.Engines = append(sopts.Engines, eng)
-	}
-	sh, err := shard.Open(sopts)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{sh: sh}, nil
+	return fmt.Sprintf("shard-%03d", i)
 }
 
-func shardDir(i int) string { return fmt.Sprintf("shard-%03d", i) }
+// writeShardMarker records the shard count in root; a no-op for the flat
+// layout (shards == 0).
+func writeShardMarker(root string, shards int) error {
+	if shards == 0 {
+		return nil
+	}
+	if err := os.MkdirAll(root, 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(root, shardMarkerFile), []byte(strconv.Itoa(shards)+"\n"), 0o644)
+}
 
-// checkShardMarker verifies (or, for a fresh directory, records) the
-// shard count at path. It also refuses to shard over an existing
-// unsharded store, whose data would silently disappear behind empty
-// shard directories.
-func checkShardMarker(path string, n int) error {
+// checkLayout verifies that the directory at path has the layout
+// Options.Shards asks for, recording the marker of a fresh sharded store.
+// A marker must match the requested count exactly (zero included) instead
+// of silently misrouting reads, and a flat store cannot be reopened
+// sharded: its data would disappear behind empty shard directories.
+func checkLayout(path string, shards int) error {
+	if path == "" {
+		return nil
+	}
 	marker := filepath.Join(path, shardMarkerFile)
 	b, err := os.ReadFile(marker)
 	switch {
@@ -123,246 +76,51 @@ func checkShardMarker(path string, n int) error {
 		if perr != nil {
 			return fmt.Errorf("%w: corrupt shard marker %s: %q", ErrInvalidOptions, marker, b)
 		}
-		if prev != n {
-			return fmt.Errorf("%w: store at %s has %d shards, opened with %d (the shard count is part of the on-disk layout and cannot change on reopen)", ErrInvalidOptions, path, prev, n)
+		if shards == 0 {
+			return fmt.Errorf("%w: store at %s is sharded (%d shards); open it with WithShards", ErrInvalidOptions, path, prev)
+		}
+		if prev != shards {
+			return fmt.Errorf("%w: store at %s has %d shards, opened with %d (the shard count is part of the on-disk layout and cannot change on reopen)", ErrInvalidOptions, path, prev, shards)
 		}
 		return nil
+	case shards == 0:
+		return nil // no marker (or unreadable): a flat store
 	case !os.IsNotExist(err):
 		return err
 	}
 	if _, serr := os.Stat(filepath.Join(path, version.CurrentFileName)); serr == nil {
-		return fmt.Errorf("%w: store at %s exists unsharded; it cannot be reopened with %d shards", ErrInvalidOptions, path, n)
+		return fmt.Errorf("%w: store at %s exists unsharded; it cannot be reopened with %d shards", ErrInvalidOptions, path, shards)
 	}
-	if err := os.MkdirAll(path, 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(marker, []byte(strconv.Itoa(n)+"\n"), 0o644)
-}
-
-// rejectShardedLayout guards the unsharded open path: a directory
-// carrying a shard marker must be opened with the matching WithShards.
-func rejectShardedLayout(path string) error {
-	if path == "" {
-		return nil
-	}
-	b, err := os.ReadFile(filepath.Join(path, shardMarkerFile))
-	if err != nil {
-		return nil // no marker (or unreadable): not a sharded store
-	}
-	return fmt.Errorf("%w: store at %s is sharded (%s shards); open it with WithShards", ErrInvalidOptions, path, strings.TrimSpace(string(b)))
+	return writeShardMarker(path, shards)
 }
 
 // NumShards reports the shard count: 1 for an unsharded store.
-func (db *DB) NumShards() int {
-	if db.sh != nil {
-		return db.sh.NumShards()
-	}
-	return 1
-}
+func (db *DB) NumShards() int { return db.sh.NumShards() }
 
-// ShardObservers returns the per-shard observability substrates of a
-// sharded store, indexed by shard (their events carry matching shard
-// labels). On an unsharded store it returns nil; DB.Observer is the
-// aggregate view either way.
+// ShardObservers returns the live per-shard observability substrates of
+// a store with more than one shard, indexed by shard (their events carry
+// matching shard labels). A one-engine store, flat or WithShards(1),
+// returns nil: its DB.Observer is already the engine's live observer.
 func (db *DB) ShardObservers() []*Observer {
-	if db.sh != nil {
-		return db.sh.Observers()
+	if db.sh.NumShards() == 1 {
+		return nil
 	}
-	return nil
+	return db.sh.Observers()
 }
 
 // MemtableBudgets returns each shard's current memtable quota in bytes.
 // On a sharded store the memory governor moves these between shards at
-// runtime (docs/SHARDING.md); unsharded stores report the single
-// engine's budget.
-func (db *DB) MemtableBudgets() []int64 {
-	if db.sh != nil {
-		return db.sh.MemtableBudgets()
-	}
-	return []int64{db.inner.MemtableBudget()}
-}
+// runtime (docs/SHARDING.md); a one-engine store reports its single
+// budget.
+func (db *DB) MemtableBudgets() []int64 { return db.sh.MemtableBudgets() }
 
 // Snapshot is a consistent read-only view of the store; see
-// DB.GetSnapshot. On a sharded store it holds one pinned view per
-// shard: each shard's view is individually consistent, and since every
-// key lives on exactly one shard, point reads and scans behave exactly
-// like the unsharded snapshot.
-type Snapshot struct {
-	c *core.Snapshot
-	s *shard.Snapshot
-}
+// DB.GetSnapshot. It holds one pinned view per shard: each view is
+// individually consistent, and since every key lives on exactly one
+// shard, point reads and scans behave exactly like a single engine's.
+type Snapshot = shard.Snapshot
 
-// TS returns the snapshot's timestamp (on a sharded store, the largest
-// per-shard timestamp — an advisory progress number).
-func (s *Snapshot) TS() uint64 {
-	if s.s != nil {
-		return s.s.TS()
-	}
-	return s.c.TS()
-}
-
-// Get returns the value of key as of the snapshot.
-func (s *Snapshot) Get(key []byte) (value []byte, ok bool, err error) {
-	if s.s != nil {
-		return s.s.Get(key)
-	}
-	return s.c.Get(key)
-}
-
-// Has reports whether key is present as of the snapshot.
-func (s *Snapshot) Has(key []byte) (bool, error) {
-	if s.s != nil {
-		return s.s.Has(key)
-	}
-	return s.c.Has(key)
-}
-
-// MultiGet reads every key as of the snapshot; results[i] corresponds
-// to keys[i].
-func (s *Snapshot) MultiGet(keys [][]byte) ([]Value, error) {
-	if s.s != nil {
-		return s.s.MultiGet(keys)
-	}
-	return s.c.MultiGet(keys)
-}
-
-// NewIterator returns an iterator over the snapshot, optionally bounded
-// to a user-key range (see DB.NewIterator).
-func (s *Snapshot) NewIterator(opts ...IterOptions) (*Iterator, error) {
-	if s.s != nil {
-		it, err := s.s.NewIterator(opts...)
-		if err != nil {
-			return nil, err
-		}
-		return &Iterator{s: it}, nil
-	}
-	it, err := s.c.NewIterator(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Iterator{c: it}, nil
-}
-
-// Close releases the snapshot. Close it promptly: live snapshots pin
-// old versions, blocking their garbage collection during merges.
-func (s *Snapshot) Close() {
-	if s.s != nil {
-		s.s.Close()
-		return
-	}
-	s.c.Close()
-}
-
-// Iterator walks user keys in ascending order; see DB.NewIterator. On a
-// sharded store it k-way-merges the per-shard iterators — same
-// contract, same snapshot semantics.
-type Iterator struct {
-	c *core.Iterator
-	s *shard.Iterator
-}
-
-// First positions at the smallest key in range.
-func (it *Iterator) First() {
-	if it.s != nil {
-		it.s.First()
-		return
-	}
-	it.c.First()
-}
-
-// Last positions at the largest key in range.
-func (it *Iterator) Last() {
-	if it.s != nil {
-		it.s.Last()
-		return
-	}
-	it.c.Last()
-}
-
-// Seek positions at the first key >= key.
-func (it *Iterator) Seek(key []byte) {
-	if it.s != nil {
-		it.s.Seek(key)
-		return
-	}
-	it.c.Seek(key)
-}
-
-// SeekForPrev positions at the last key <= key.
-func (it *Iterator) SeekForPrev(key []byte) {
-	if it.s != nil {
-		it.s.SeekForPrev(key)
-		return
-	}
-	it.c.SeekForPrev(key)
-}
-
-// Next advances to the next larger key.
-func (it *Iterator) Next() {
-	if it.s != nil {
-		it.s.Next()
-		return
-	}
-	it.c.Next()
-}
-
-// Prev steps back to the next smaller key.
-func (it *Iterator) Prev() {
-	if it.s != nil {
-		it.s.Prev()
-		return
-	}
-	it.c.Prev()
-}
-
-// Valid reports whether the iterator is positioned at a key.
-func (it *Iterator) Valid() bool {
-	if it.s != nil {
-		return it.s.Valid()
-	}
-	return it.c.Valid()
-}
-
-// Key returns the current key (valid until the next positioning call).
-func (it *Iterator) Key() []byte {
-	if it.s != nil {
-		return it.s.Key()
-	}
-	return it.c.Key()
-}
-
-// Value returns the current value (valid until the next positioning
-// call).
-func (it *Iterator) Value() []byte {
-	if it.s != nil {
-		return it.s.Value()
-	}
-	return it.c.Value()
-}
-
-// Err returns the first error the iterator encountered, if any.
-func (it *Iterator) Err() error {
-	if it.s != nil {
-		return it.s.Err()
-	}
-	return it.c.Err()
-}
-
-// Close releases the iterator (and its implicit snapshot, for iterators
-// from DB.NewIterator).
-func (it *Iterator) Close() {
-	if it.s != nil {
-		it.s.Close()
-		return
-	}
-	it.c.Close()
-}
-
-// Range collects up to limit key/value pairs in [start, end)
-// (limit <= 0 = unbounded).
-func (it *Iterator) Range(start, end []byte, limit int) (ks, vs [][]byte, err error) {
-	if it.s != nil {
-		return it.s.Range(start, end, limit)
-	}
-	return it.c.Range(start, end, limit)
-}
+// Iterator walks user keys in ascending order; see DB.NewIterator. It
+// k-way-merges the per-shard iterators — one engine's contract and
+// snapshot semantics at any shard count.
+type Iterator = shard.Iterator

@@ -21,100 +21,18 @@ type ReadCheck = core.ReadCheck
 //
 // A Txn is not safe for concurrent use and pins engine versions until
 // Commit or Rollback; always finish it (defer txn.Rollback() is safe).
-// On a sharded store transactions are single-shard: the first operation
-// pins the owning shard and any key routing elsewhere fails with
-// ErrInvalidOptions (see docs/SHARDING.md for why atomicity stops at the
-// shard boundary).
-type Txn struct {
-	c *core.Txn
-	s *shard.Txn
-}
+// On a one-engine store the snapshot is taken at Begin. With more than
+// one shard transactions are single-shard: the first operation pins the
+// owning shard (and takes the snapshot there) and any key routing
+// elsewhere fails with ErrInvalidOptions (see docs/SHARDING.md for why
+// atomicity stops at the shard boundary).
+type Txn = shard.Txn
 
 // BeginTxn starts a transaction.
-func (db *DB) BeginTxn() (*Txn, error) { return db.BeginTxnCtx(nil) }
+func (db *DB) BeginTxn() (*Txn, error) { return db.sh.BeginTxn() }
 
-// BeginTxnCtx is BeginTxn with a context, checked once at entry.
-func (db *DB) BeginTxnCtx(ctx context.Context) (*Txn, error) {
-	if db.sh != nil {
-		t, err := db.sh.BeginTxnCtx(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &Txn{s: t}, nil
-	}
-	t, err := db.inner.BeginTxnCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &Txn{c: t}, nil
-}
-
-// Get reads key at the transaction's snapshot, seeing the transaction's
-// own buffered writes first (read-your-writes). External reads join the
-// read set validated at Commit.
-func (t *Txn) Get(key []byte) (value []byte, ok bool, err error) {
-	if t.s != nil {
-		return t.s.Get(key)
-	}
-	return t.c.Get(key)
-}
-
-// Has reports whether key is visible to the transaction (see Get).
-func (t *Txn) Has(key []byte) (bool, error) {
-	if t.s != nil {
-		return t.s.Has(key)
-	}
-	return t.c.Has(key)
-}
-
-// Put buffers (key, value); nothing is visible outside the transaction
-// until Commit. Key and value are copied.
-func (t *Txn) Put(key, value []byte) error {
-	if t.s != nil {
-		return t.s.Put(key, value)
-	}
-	return t.c.Put(key, value)
-}
-
-// Delete buffers a deletion marker for key (see Put).
-func (t *Txn) Delete(key []byte) error {
-	if t.s != nil {
-		return t.s.Delete(key)
-	}
-	return t.c.Delete(key)
-}
-
-// Pending returns the number of buffered writes.
-func (t *Txn) Pending() int {
-	if t.s != nil {
-		return t.s.Pending()
-	}
-	return t.c.Pending()
-}
-
-// Rollback discards the transaction and releases its snapshot. It is a
-// no-op on a finished transaction, so deferring it is always safe.
-func (t *Txn) Rollback() {
-	if t.s != nil {
-		t.s.Rollback()
-		return
-	}
-	t.c.Rollback()
-}
-
-// Commit validates and applies the transaction. On conflict it returns a
-// wrapped ErrTxnConflict; the transaction is finished either way (retry
-// by beginning a new one).
-func (t *Txn) Commit() error { return t.CommitCtx(nil) }
-
-// CommitCtx is Commit with cancellation for the pre-admission waits (see
-// PutCtx). Once validation starts the commit runs to completion.
-func (t *Txn) CommitCtx(ctx context.Context) error {
-	if t.s != nil {
-		return t.s.CommitCtx(ctx)
-	}
-	return t.c.CommitCtx(ctx)
-}
+// BeginTxnCtx is BeginTxn with a context, checked once at Begin.
+func (db *DB) BeginTxnCtx(ctx context.Context) (*Txn, error) { return db.sh.BeginTxnCtx(ctx) }
 
 // Txn runs fn inside a transaction: commit if fn returns nil, roll back
 // (returning fn's error) otherwise. Conflicts surface as a wrapped
@@ -130,20 +48,10 @@ func (t *Txn) CommitCtx(ctx context.Context) error {
 //			return err
 //		}
 //	}
-func (db *DB) Txn(fn func(*Txn) error) error { return db.TxnCtx(nil, fn) }
+func (db *DB) Txn(fn func(*Txn) error) error { return db.sh.Txn(fn) }
 
-// TxnCtx is Txn with cancellation (see CommitCtx).
-func (db *DB) TxnCtx(ctx context.Context, fn func(*Txn) error) error {
-	t, err := db.BeginTxnCtx(ctx)
-	if err != nil {
-		return err
-	}
-	if err := fn(t); err != nil {
-		t.Rollback()
-		return err
-	}
-	return t.CommitCtx(ctx)
-}
+// TxnCtx is Txn with cancellation (see Txn.CommitCtx).
+func (db *DB) TxnCtx(ctx context.Context, fn func(*Txn) error) error { return db.sh.TxnCtx(ctx, fn) }
 
 // TxnWriteCtx commits b only if every ReadCheck still holds: each check
 // key's current value (or absence) must equal what the caller observed.
@@ -152,8 +60,5 @@ func (db *DB) TxnCtx(ctx context.Context, fn func(*Txn) error) error {
 // the same optimistic path as Txn. A failed check returns a wrapped
 // ErrTxnConflict. On a sharded store all keys must route to one shard.
 func (db *DB) TxnWriteCtx(ctx context.Context, checks []ReadCheck, b *Batch) error {
-	if db.sh != nil {
-		return db.sh.TxnWriteCtx(ctx, checks, b)
-	}
-	return db.inner.TxnWriteCtx(ctx, checks, b)
+	return db.sh.TxnWriteCtx(ctx, checks, b)
 }
