@@ -5,9 +5,10 @@ package main
 // inline, once separated — comparing put throughput and the LSM rewrite
 // volume per logical byte written (flush + compaction bytes / user
 // bytes), the write-amplification axis the value log exists to flatten.
-// A third pair runs at small (128 B) values with the threshold enabled
-// but not reached, asserting the inline fast path is untouched when the
-// feature is configured. Results land in BENCH_vlog.json.
+// Alternating pairs at small (128 B) values, with the threshold enabled
+// but not reached, assert the inline fast path is untouched when the
+// feature is configured; their median ratio is reported so one slow run
+// cannot fake a cost. Results land in BENCH_vlog.json.
 
 import (
 	"context"
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,11 +53,17 @@ type vlogReport struct {
 	// RewriteReduction is inline / separated rewrite-bytes-per-logical-byte
 	// at 4 KiB values (how many fewer times the LSM rewrites each byte).
 	RewriteReduction float64 `json:"rewrite_reduction"`
-	// SmallValueParity is threshold-enabled / threshold-disabled put
-	// throughput at 128 B values (all below the threshold): the cost of
-	// merely configuring separation, expected within ±5% of 1.0.
-	SmallValueParity float64 `json:"small_value_parity"`
+	// SmallValueParity is the median over SmallValuePairs of
+	// threshold-enabled / threshold-disabled put throughput at 128 B
+	// values (all below the threshold): the cost of merely configuring
+	// separation, expected within ±5% of 1.0.
+	SmallValueParity float64   `json:"small_value_parity"`
+	SmallValuePairs  []float64 `json:"small_value_pairs"`
 }
+
+// smallValuePairs is the number of alternating inline-small/vlog-small
+// pairs behind SmallValueParity.
+const smallValuePairs = 5
 
 // vlogProfile runs the cells and writes out (default BENCH_vlog.json).
 func vlogProfile(sc harness.Scale, out string) error {
@@ -75,41 +83,60 @@ func vlogProfile(sc harness.Scale, out string) error {
 	fmt.Printf("# vlog profile — %d large puts (%d B), %d small puts (%d B), %d writers, %d keys\n",
 		largeOps, largeVal, smallOps, smallVal, writers, keyspace)
 
-	grid := []struct {
-		name      string
-		valueSize int
-		threshold int
-		ops       int
-	}{
-		{"inline-4k", largeVal, 0, largeOps},
-		{"vlog-4k", largeVal, 1024, largeOps},
-		{"inline-small", smallVal, 0, smallOps},
-		{"vlog-small", smallVal, 1024, smallOps},
-	}
 	rep := vlogReport{Scale: sc.Name, Writers: writers}
-	cells := map[string]vlogRunResult{}
-	for _, g := range grid {
-		r, err := vlogRun(g.name, g.valueSize, g.threshold, g.ops, keyspace, writers)
+	run := func(name string, valueSize, threshold, ops int) (vlogRunResult, error) {
+		r, err := vlogRun(name, valueSize, threshold, ops, keyspace, writers)
+		if err != nil {
+			return r, err
+		}
+		rep.Runs = append(rep.Runs, r)
+		fmt.Printf("%-13s %9.0f puts/s   %.2f rewrite bytes per logical byte   (%d segments, %d gc runs)\n",
+			r.Name, r.PutsPerSec, r.RewritePerLogical, r.VlogSegments, r.VlogGCRuns)
+		return r, nil
+	}
+
+	inline, err := run("inline-4k", largeVal, 0, largeOps)
+	if err != nil {
+		return err
+	}
+	sep, err := run("vlog-4k", largeVal, 1024, largeOps)
+	if err != nil {
+		return err
+	}
+	if inline.PutsPerSec > 0 {
+		rep.PutSpeedup = sep.PutsPerSec / inline.PutsPerSec
+	}
+	if sep.RewritePerLogical > 0 {
+		rep.RewriteReduction = inline.RewritePerLogical / sep.RewritePerLogical
+	}
+
+	// Small-value parity: alternate which cell runs first so order effects
+	// cancel, and report the median pair.
+	for p := 0; p < smallValuePairs; p++ {
+		var in, v vlogRunResult
+		if p%2 == 0 {
+			if in, err = run("inline-small", smallVal, 0, smallOps); err == nil {
+				v, err = run("vlog-small", smallVal, 1024, smallOps)
+			}
+		} else {
+			if v, err = run("vlog-small", smallVal, 1024, smallOps); err == nil {
+				in, err = run("inline-small", smallVal, 0, smallOps)
+			}
+		}
 		if err != nil {
 			return err
 		}
-		rep.Runs = append(rep.Runs, r)
-		cells[g.name] = r
-		fmt.Printf("%-13s %9.0f puts/s   %.2f rewrite bytes per logical byte   (%d segments, %d gc runs)\n",
-			r.Name, r.PutsPerSec, r.RewritePerLogical, r.VlogSegments, r.VlogGCRuns)
+		if in.PutsPerSec > 0 {
+			rep.SmallValuePairs = append(rep.SmallValuePairs, v.PutsPerSec/in.PutsPerSec)
+		}
 	}
-
-	if in := cells["inline-4k"]; in.PutsPerSec > 0 {
-		rep.PutSpeedup = cells["vlog-4k"].PutsPerSec / in.PutsPerSec
+	if n := len(rep.SmallValuePairs); n > 0 {
+		sorted := append([]float64(nil), rep.SmallValuePairs...)
+		sort.Float64s(sorted)
+		rep.SmallValueParity = sorted[n/2]
 	}
-	if v := cells["vlog-4k"]; v.RewritePerLogical > 0 {
-		rep.RewriteReduction = cells["inline-4k"].RewritePerLogical / v.RewritePerLogical
-	}
-	if in := cells["inline-small"]; in.PutsPerSec > 0 {
-		rep.SmallValueParity = cells["vlog-small"].PutsPerSec / in.PutsPerSec
-	}
-	fmt.Printf("put speedup %.2fx, rewrite reduction %.2fx, small-value parity %.3f\n",
-		rep.PutSpeedup, rep.RewriteReduction, rep.SmallValueParity)
+	fmt.Printf("put speedup %.2fx, rewrite reduction %.2fx, small-value parity %.3f (median of pairs %.3f)\n",
+		rep.PutSpeedup, rep.RewriteReduction, rep.SmallValueParity, rep.SmallValuePairs)
 
 	f, err := os.Create(out)
 	if err != nil {

@@ -34,8 +34,9 @@ type DB struct {
 	// Open): per-op latency histograms, substrate counters, event trace.
 	obs *obs.Observer
 
-	// lock is the paper's shared-exclusive Lock: shared by puts, RMWs and
-	// getSnap; exclusive in beforeMerge/afterMerge and atomic batches.
+	// lock is the paper's shared-exclusive Lock: shared by puts, RMWs,
+	// getSnap, atomic batches, txn commits and value-log relinks; exclusive
+	// only in beforeMerge/afterMerge.
 	lock syncutil.SharedExclusive
 
 	oracle *oracle.Oracle

@@ -23,12 +23,14 @@ var ErrTxnConflict = errors.New("clsm: transaction conflict")
 // Txn is a multi-key optimistic transaction: Algorithm 3's single-key OCC
 // generalized over the snapshot oracle. Reads are served at a snapshot
 // timestamp taken at Begin and recorded in a read set; writes are buffered.
-// Commit validates, under the exclusive lock, that no key in the read or
-// write set has a version in the interval (snapshot, now] — across all
-// three components Pm → P'm → Pd, which is why the disk lookup surfaces
-// version timestamps — and then applies the write set exactly like an
-// atomic batch: one contiguous timestamp range, one WAL record, exposed
-// all-or-nothing.
+// Commit runs under the shared lock: it validates that no key in the read
+// or write set has a version in the interval (snapshot, commit) — across
+// all three components Pm → P'm → Pd, which is why the disk lookup
+// surfaces version timestamps — and then applies the write set exactly
+// like an atomic batch: one contiguous timestamp range, one WAL record,
+// exposed all-or-nothing. The serialization point is the fenced commit
+// range: Fence(first-1) settles every lower timestamp before a final
+// check of the memtable, so no write can slip into the interval unseen.
 //
 // A Txn is not safe for concurrent use by multiple goroutines. It pins the
 // snapshot's versions until Commit or Rollback, so it must always be
@@ -222,34 +224,51 @@ func (t *Txn) CommitCtx(ctx context.Context) error {
 		}
 	}
 
-	db.lock.LockExclusive()
+	// Commit runs under the shared lock in two phases. Holding the lock
+	// pins Pm and P'm: no rotation can happen, so every write that lands
+	// during the commit lands in Pm.
+	db.lock.LockShared()
 	mt := db.mem.Load()
 	logger := db.log.Load()
 
-	// Validation: no read- or write-set key may have a version in
-	// (snapshot, now]. The exclusive lock excludes concurrent writers and
-	// rotations, so the newest version visible now is the newest, period.
-	if key, vts, err := db.validateIntervalLocked(mt, t); err != nil {
-		db.lock.UnlockExclusive()
+	// Phase 1: no read- or write-set key may have a version newer than
+	// the snapshot in any component, Pm → P'm → Pd. No timestamp is held,
+	// so the walk's disk reads stall no snapshot and no other commit.
+	if key, vts, err := db.validateIntervalLocked(mt, t, keys.MaxTimestamp, false); err != nil {
+		db.lock.UnlockShared()
 		return err
 	} else if key != "" {
-		db.lock.UnlockExclusive()
-		db.metrics.txnConflicts.Add(1)
-		return fmt.Errorf("key %q has version %d newer than snapshot %d: %w",
-			key, vts, t.ts, ErrTxnConflict)
+		db.lock.UnlockShared()
+		return db.txnConflict(t, key, vts)
+	}
+
+	// Phase 2: draw the commit range, then fence just below it. After
+	// Fence(first-1) every write with a lower timestamp is in Pm or has
+	// rolled back to a timestamp above the range, so the interval
+	// (snapshot, first) is final. Any version phase 1 missed landed in
+	// the pinned Pm, which makes a Pm-only re-check exact. The range's
+	// Active slot keeps every snapshot below the commit until Done.
+	first, slot := db.oracle.GetTSBatch(uint64(b.Len()))
+	db.oracle.Fence(first - 1)
+	if key, vts, err := db.validateIntervalLocked(mt, t, first-1, true); err != nil || key != "" {
+		db.oracle.Done(slot)
+		db.lock.UnlockShared()
+		if err != nil {
+			return err
+		}
+		return db.txnConflict(t, key, vts)
 	}
 
 	// Apply: identical to the atomic-batch path — contiguous timestamp
 	// range, one WAL record (the crash harness checks its atomicity),
-	// memtable insertion, all under the exclusive lock.
-	first, slot := db.oracle.GetTSBatch(uint64(b.Len()))
+	// memtable insertion, then Done releases the range to snapshots.
 	b.SetTimestamps(first)
 	if logger != nil {
 		buf := wal.GetBuf()
 		*buf = b.Encode((*buf)[:0])
 		if err := logger.AppendOwned(buf); err != nil {
 			db.oracle.Done(slot)
-			db.lock.UnlockExclusive()
+			db.lock.UnlockShared()
 			return err
 		}
 	}
@@ -257,7 +276,7 @@ func (t *Txn) CommitCtx(ctx context.Context) error {
 		mt.Add(e.Key, e.TS, e.Kind, e.Value)
 	}
 	db.oracle.Done(slot)
-	db.lock.UnlockExclusive()
+	db.lock.UnlockShared()
 
 	t.commitTS = first
 	db.metrics.txns.Add(1)
@@ -267,21 +286,32 @@ func (t *Txn) CommitCtx(ctx context.Context) error {
 	return nil
 }
 
+// txnConflict counts a validation failure and returns the wrapped
+// ErrTxnConflict naming the offending key.
+func (db *DB) txnConflict(t *Txn, key string, vts uint64) error {
+	db.metrics.txnConflicts.Add(1)
+	return fmt.Errorf("key %q has version %d newer than snapshot %d: %w",
+		key, vts, t.ts, ErrTxnConflict)
+}
+
 // validateIntervalLocked returns the first key in the transaction's read
-// or write set whose newest version is newer than the snapshot ("" if
-// none). Caller holds the exclusive lock. Components are checked in
-// data-flow order Pm → P'm → Pd; rotation is a write barrier, so the first
-// component holding the key holds its newest version.
+// or write set whose newest version at or below upTo is newer than the
+// snapshot ("" if none). Caller holds the shared lock, which pins mt.
+// Components are checked in data-flow order Pm → P'm → Pd; rotation is a
+// write barrier, so the first component holding the key holds its newest
+// version. With pmOnly, only mt is checked: the commit's re-check after
+// its fence, when every version an earlier full walk could have missed
+// is in mt.
 //
 // A key that is absent everywhere validates trivially: tombstones are only
 // elided by compaction when no older version remains, so "absent" cannot
 // mask a version written inside the interval.
-func (db *DB) validateIntervalLocked(mt *memtable.Table, t *Txn) (key string, vts uint64, err error) {
+func (db *DB) validateIntervalLocked(mt *memtable.Table, t *Txn, upTo uint64, pmOnly bool) (key string, vts uint64, err error) {
 	sk := seekScratch.Get().(*[]byte)
 	defer seekScratch.Put(sk)
 	check := func(k string) (uint64, error) {
 		kb := []byte(k)
-		if _, ts, _, found := mt.GetWithTS(kb, keys.MaxTimestamp); found {
+		if _, ts, _, found := mt.GetWithTS(kb, upTo); found || pmOnly {
 			return ts, nil
 		}
 		if imm := db.imm.Load(); imm != nil {

@@ -174,24 +174,32 @@ func (db *DB) rewriteVlogSegment(num, size uint64) error {
 // points its key at the copy, if and only if the entry is still the key's
 // newest version.
 //
-// The exclusive lock is load-bearing, not a convenience: a put holds the
-// shared lock across its whole sequence (timestamp assignment → value
-// routing → WAL enqueue → memtable insert), so there is a window where a
-// LOWER-timestamped put has its timestamp but is not yet visible in the
-// memtable. Under the shared lock the relink's liveness check would pass,
-// its fresh (higher) timestamp would win, and the old value would be
-// resurrected over the concurrent put — the memtable conflict check
-// cannot see a version that has not been inserted yet. Exclusive
-// acquisition waits out every in-flight shared holder, making the
-// check-and-insert atomic with respect to all writes (the same discipline
-// atomic batches use).
+// The relink runs under the shared lock like any write, with the fence
+// transaction commits use. A put holds its timestamp across its whole
+// sequence (timestamp assignment → value routing → WAL enqueue →
+// memtable insert), so there is a window where a LOWER-timestamped put
+// has its timestamp but is not yet visible in the memtable. A liveness
+// check in that window would pass, the relink's fresh (higher)
+// timestamp would win, and the old value would be resurrected over the
+// concurrent put — the memtable conflict check cannot see a version that
+// has not been inserted yet. So the relink draws its timestamp first and
+// fences just below it: after Fence(newTS-1) every lower-timestamped
+// write is in the memtable or has rolled back above newTS; a
+// higher-timestamped one fails InsertRMWKind's conflict check if it
+// lands first, and is simply newer than the relink if it lands after.
+// The timestamp comes from GetTSBackground, so a snapshot taken while
+// the relink runs waits for it instead of stepping below it and losing
+// writes the application completed meanwhile.
 func (db *DB) relinkValue(key []byte, ts uint64, ptr vlog.Pointer, value []byte, relinked *int) error {
-	db.lock.LockExclusive()
-	defer db.lock.UnlockExclusive()
+	db.lock.LockShared()
+	defer db.lock.UnlockShared()
 	mt := db.mem.Load()
 	if mt == nil {
 		return ErrClosed
 	}
+	newTS, slot := db.oracle.GetTSBackground()
+	defer db.oracle.Done(slot)
+	db.oracle.Fence(newTS - 1)
 	raw, vts, kind, readTS, found, err := db.readLatestRawLocked(mt, key)
 	if err != nil {
 		return err
@@ -206,8 +214,6 @@ func (db *DB) relinkValue(key []byte, ts uint64, ptr vlog.Pointer, value []byte,
 	if p, ok := vlog.DecodePointer(raw); !ok || p.Seg != ptr.Seg || p.Off != ptr.Off {
 		return nil
 	}
-	newTS, slot := db.oracle.GetTS()
-	defer db.oracle.Done(slot)
 	np, err := db.vlog.Append(key, newTS, value)
 	if err != nil {
 		return err

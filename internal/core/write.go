@@ -119,10 +119,13 @@ func (db *DB) write(ctx context.Context, key, value []byte, kind keys.Kind) erro
 	return nil
 }
 
-// Write applies a batch atomically. Like LevelDB (and cLSM, §4), atomic
-// batches take the coarse path: the exclusive lock serializes them against
-// all puts and snapshot acquisitions, so the batch's contiguous timestamp
-// range is exposed all-or-nothing.
+// Write applies a batch atomically. A batch takes the shared lock like a
+// put (the exclusive lock is only for the pointer swaps around a merge,
+// §3.1) and draws one contiguous timestamp range with GetTSBatch. The
+// range's first timestamp stays in the Active set until every entry is
+// in the memtable, so every snapshot (getSnap waits out Active slots at
+// or below its fence) falls either below the whole range or above it:
+// a reader sees the batch whole or not at all.
 //
 // When value separation is enabled (Options.ValueThreshold), entries whose
 // values the engine routes to the value log are rewritten in place as
@@ -162,7 +165,7 @@ func (db *DB) writeBatch(ctx context.Context, b *batch.Batch) error {
 		return err
 	}
 
-	db.lock.LockExclusive()
+	db.lock.LockShared()
 	mt := db.mem.Load()
 	logger := db.log.Load()
 
@@ -173,7 +176,7 @@ func (db *DB) writeBatch(ctx context.Context, b *batch.Batch) error {
 	// for the whole batch, before the WAL record is appended.
 	if err := db.routeBatch(b, logger != nil); err != nil {
 		db.oracle.Done(slot)
-		db.lock.UnlockExclusive()
+		db.lock.UnlockShared()
 		return err
 	}
 	if logger != nil {
@@ -181,7 +184,7 @@ func (db *DB) writeBatch(ctx context.Context, b *batch.Batch) error {
 		*buf = b.Encode((*buf)[:0])
 		if err := logger.AppendOwned(buf); err != nil {
 			db.oracle.Done(slot)
-			db.lock.UnlockExclusive()
+			db.lock.UnlockShared()
 			return err
 		}
 	}
@@ -189,7 +192,7 @@ func (db *DB) writeBatch(ctx context.Context, b *batch.Batch) error {
 		mt.Add(e.Key, e.TS, e.Kind, e.Value)
 	}
 	db.oracle.Done(slot)
-	db.lock.UnlockExclusive()
+	db.lock.UnlockShared()
 
 	db.metrics.puts.Add(uint64(b.Len()))
 	db.metrics.writeBytes.Add(uint64(n))
@@ -294,7 +297,8 @@ func (db *DB) routeValue(kind keys.Kind, key []byte, ts uint64, value []byte, lo
 // routeBatch is routeValue over a batch: every large value is appended to
 // the value log and its entry rewritten in place as a pointer entry, then
 // one group-committed WaitSync covers the whole batch (sync mode). Caller
-// holds the exclusive lock with timestamps already assigned.
+// holds the shared lock and the batch's Active slot, with timestamps
+// already assigned.
 func (db *DB) routeBatch(b *batch.Batch, logged bool) error {
 	t := db.opts.ValueThreshold
 	if t <= 0 {

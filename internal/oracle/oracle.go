@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"clsm/internal/syncutil"
 )
 
 // activeSlots bounds the number of concurrently in-flight put timestamps.
@@ -56,14 +58,28 @@ func (s *ActiveSet) Remove(slot int) {
 	s.count.Add(-1)
 }
 
+// waitFlag marks an Active slot that getSnap waits out instead of
+// stepping below (GetTSBackground). Timestamps never reach bit 63.
+const waitFlag = 1 << 63
+
 // FindMin returns the smallest active timestamp, or 0 if none is active.
-func (s *ActiveSet) FindMin() uint64 {
+func (s *ActiveSet) FindMin() uint64 { return s.findMin(false) }
+
+// findMin is FindMin, ignoring waitFlag slots when skipWaited is set.
+func (s *ActiveSet) findMin(skipWaited bool) uint64 {
 	if s.count.Load() == 0 {
 		return 0
 	}
 	var min uint64
 	for i := range s.slots {
-		if v := s.slots[i].Load(); v != 0 && (min == 0 || v < min) {
+		v := s.slots[i].Load()
+		if v&waitFlag != 0 {
+			if skipWaited {
+				continue
+			}
+			v &^= waitFlag
+		}
+		if v != 0 && (min == 0 || v < min) {
 			min = v
 		}
 	}
@@ -107,17 +123,7 @@ func (o *Oracle) Now() uint64 { return o.timeCounter.Load() }
 // publish the timestamp in the Active set, and retry if a concurrent
 // getSnap has already fenced at or above it. The returned slot must be
 // passed to Done once the write is in the memtable.
-func (o *Oracle) GetTS() (ts uint64, slot int) {
-	for {
-		ts = o.timeCounter.Add(1)
-		slot = o.active.Add(ts)
-		if ts <= o.snapTime.Load() {
-			o.active.Remove(slot)
-			continue
-		}
-		return ts, slot
-	}
-}
+func (o *Oracle) GetTS() (ts uint64, slot int) { return o.draw(1, 0) }
 
 // GetTSBatch reserves n consecutive timestamps for an atomic batch,
 // returning the first. The first timestamp is registered in the Active set
@@ -127,10 +133,23 @@ func (o *Oracle) GetTSBatch(n uint64) (first uint64, slot int) {
 	if n == 0 {
 		n = 1
 	}
+	return o.draw(n, 0)
+}
+
+// GetTSBackground is GetTS for a writer that runs beside the
+// application's own, such as a value-log relink. getSnap waits its slot
+// out instead of stepping below it (waiting is always safe; stepping
+// below only saves the wait), so a background write never pulls a
+// snapshot below writes the application completed while it ran: a single
+// application writer still reads its own writes through every snapshot.
+// Fence and ActiveMin treat the slot like any other.
+func (o *Oracle) GetTSBackground() (ts uint64, slot int) { return o.draw(1, waitFlag) }
+
+// draw reserves n timestamps and registers the first, tagged with flag.
+func (o *Oracle) draw(n, flag uint64) (first uint64, slot int) {
 	for {
-		end := o.timeCounter.Add(n)
-		first = end - n + 1
-		slot = o.active.Add(first)
+		first = o.timeCounter.Add(n) - n + 1
+		slot = o.active.Add(first | flag)
 		if first <= o.snapTime.Load() {
 			o.active.Remove(slot)
 			continue
@@ -147,39 +166,56 @@ func (o *Oracle) ActiveMin() uint64 { return o.active.FindMin() }
 
 // SnapshotTS computes a serializable snapshot time (Algorithm 2's getSnap
 // body, lines 9–14): start from the current counter, step below the oldest
-// active timestamp, advance the snapTime fence monotonically, then wait for
-// straggler puts below the fence to finish or roll back.
+// active timestamp not drawn by GetTSBackground, then fence there (see
+// Fence). The returned time is the fence itself, which a concurrent
+// getSnap or Fence may have pushed past this call's candidate; the wait
+// covers it either way.
 func (o *Oracle) SnapshotTS() uint64 {
 	ts := o.timeCounter.Load()
-	if m := o.active.FindMin(); m != 0 && m-1 < ts {
+	if m := o.active.findMin(true); m != 0 && m-1 < ts {
 		ts = m - 1
 	}
-	// Atomically advance snapTime to max(snapTime, ts).
+	o.advanceSnapTime(ts)
+	fence := o.snapTime.Load()
+	o.waitPast(fence)
+	return fence
+}
+
+// Fence makes every timestamp at or below ts settled: it advances the
+// snapTime fence to at least ts, then waits until no active put holds a
+// timestamp at or below ts. Each such put either finishes its insert (it
+// acquired the timestamp before the fence moved) or rolls back in GetTS
+// and draws one above the fence. A caller holding slot ts+1 (a commit
+// fencing just below its own range) does not wait on itself, even when
+// another getSnap or Fence has already moved snapTime past ts+1: the wait
+// is bounded by ts, not by the global fence.
+func (o *Oracle) Fence(ts uint64) {
+	o.advanceSnapTime(ts)
+	o.waitPast(ts)
+}
+
+// advanceSnapTime atomically sets snapTime to max(snapTime, ts).
+func (o *Oracle) advanceSnapTime(ts uint64) {
 	for {
 		cur := o.snapTime.Load()
-		if ts <= cur {
-			break
-		}
-		if o.snapTime.CompareAndSwap(cur, ts) {
-			break
+		if ts <= cur || o.snapTime.CompareAndSwap(cur, ts) {
+			return
 		}
 	}
-	// Wait until no active put holds a timestamp below the fence. Each
-	// such put either finishes its insert (it acquired the timestamp
-	// before the fence moved) or rolls back in GetTS.
-	fence := o.snapTime.Load()
+}
+
+// waitPast waits until no active timestamp is at or below ts, backing
+// off from spinning to yielding to sleeping (syncutil.Backoff): the slot
+// holder may be runnable but queued behind other work on a busy P.
+func (o *Oracle) waitPast(ts uint64) {
 	spins := 0
 	for {
 		m := o.active.FindMin()
-		if m == 0 || m > fence {
-			break
+		if m == 0 || m > ts {
+			return
 		}
-		spins++
-		if spins > 64 {
-			runtime.Gosched()
-		}
+		spins = syncutil.Backoff(spins)
 	}
-	return fence
 }
 
 // SnapTime returns the current snapshot fence (tests).

@@ -37,7 +37,7 @@ func (l *SharedExclusive) LockShared() {
 			// back out and defer to it (writer preference).
 			l.readers.Add(-1)
 		}
-		spins = backoff(spins)
+		spins = Backoff(spins)
 	}
 }
 
@@ -51,11 +51,11 @@ func (l *SharedExclusive) UnlockShared() {
 func (l *SharedExclusive) LockExclusive() {
 	spins := 0
 	for !l.writer.CompareAndSwap(false, true) {
-		spins = backoff(spins)
+		spins = Backoff(spins)
 	}
 	spins = 0
 	for l.readers.Load() != 0 {
-		spins = backoff(spins)
+		spins = Backoff(spins)
 	}
 }
 
@@ -64,10 +64,14 @@ func (l *SharedExclusive) UnlockExclusive() {
 	l.writer.Store(false)
 }
 
-// backoff spins briefly, then yields, then sleeps, returning the updated
-// spin count. Exclusive sections here are a handful of pointer swaps, so
-// the sleep tier is rarely reached.
-func backoff(spins int) int {
+// Backoff spins briefly, then yields, then sleeps, returning the updated
+// spin count; call it once per failed poll with the previous count
+// (starting at 0). The sleep tier matters when the awaited goroutine is
+// runnable but not running: on a few Ps, a goroutine that only yields is
+// picked straight back up, and the one it waits for stays queued behind
+// other work until preemption. Exclusive sections and timestamp fences
+// are short, so the sleep tier is rarely reached.
+func Backoff(spins int) int {
 	spins++
 	switch {
 	case spins < spinsBeforeYield:
