@@ -171,8 +171,11 @@ func (db *DB) reportForeground(origin string, err error) {
 // transient failure settleBG sleeps out the next backoff delay — cut short
 // by Close or an explicit Resume — so the caller retries on return. Fatal
 // errors poison the engine the historical way; corruption needs no extra
-// action (Report already quarantined the store). Call without holding
-// flushMu: the backoff wait must not block the other merge driver.
+// action (Report already quarantined the store). An ErrClosed seen once
+// Close has begun is the job noticing shutdown, not a fault: it is not
+// reported, so Close neither returns it nor marks the store Failed. Call
+// without holding flushMu: the backoff wait must not block the other
+// merge driver.
 func (db *DB) settleBG(origin string, err error, b *health.Backoff) bool {
 	if err == nil {
 		if db.health.OK(origin) {
@@ -180,6 +183,13 @@ func (db *DB) settleBG(origin string, err error, b *health.Backoff) bool {
 		}
 		b.Reset()
 		return true
+	}
+	if errors.Is(err, ErrClosed) {
+		select {
+		case <-db.closing:
+			return false
+		default:
+		}
 	}
 	switch db.health.Report(origin, err) {
 	case health.ClassTransient:

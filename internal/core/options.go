@@ -103,10 +103,9 @@ type Options struct {
 	WriteRateLimit int64
 
 	// SchedulerProfile selects the background scheduler and write-throttle
-	// tuning preset: "default" (balanced), "throughput" (gentle decay,
-	// fast recovery), "latency" (hard decay, cautious recovery), or
-	// "legacy" (the historical binary L0 slowdown/stop gate, no
-	// auto-tuning — kept for A/B measurement). Empty selects "default".
+	// tuning preset: "default" (balanced) or "legacy" (the historical
+	// binary L0 slowdown/stop gate, no auto-tuning — kept for A/B
+	// measurement). Empty selects "default".
 	SchedulerProfile string
 
 	// PanicOnBGFault disables the background panic recovery (debug mode):

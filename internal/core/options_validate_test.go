@@ -26,6 +26,7 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{"negative DegradedStallTimeout", func(o *Options) { o.DegradedStallTimeout = -1 }},
 		{"negative WriteRateLimit", func(o *Options) { o.WriteRateLimit = -1 }},
 		{"unknown SchedulerProfile", func(o *Options) { o.SchedulerProfile = "warp-speed" }},
+		{"retired SchedulerProfile", func(o *Options) { o.SchedulerProfile = "latency" }},
 		{"negative Disk.L0CompactionTrigger", func(o *Options) { o.Disk.L0CompactionTrigger = -1 }},
 		{"negative Disk.BaseLevelBytes", func(o *Options) { o.Disk.BaseLevelBytes = -1 }},
 		{"negative Disk.TableFileSize", func(o *Options) { o.Disk.TableFileSize = -1 }},
@@ -68,7 +69,7 @@ func TestValidateAcceptsDefaultsAndProfiles(t *testing.T) {
 	if err := (Options{}).WithDefaults().Validate(); err != nil {
 		t.Fatalf("defaulted Options: %v", err)
 	}
-	for _, p := range []string{"", "default", "throughput", "latency", "legacy"} {
+	for _, p := range []string{"", "default", "legacy"} {
 		o := Options{SchedulerProfile: p}
 		if err := o.Validate(); err != nil {
 			t.Errorf("profile %q: %v", p, err)
@@ -81,7 +82,7 @@ func TestValidateAcceptsDefaultsAndProfiles(t *testing.T) {
 		L0StopTrigger:     8,
 		CompactionThreads: 2,
 		WriteRateLimit:    1 << 20,
-		SchedulerProfile:  "latency",
+		SchedulerProfile:  "legacy",
 		Disk:              version.Options{}.WithDefaults(),
 	}
 	if err := o.Validate(); err != nil {

@@ -11,6 +11,7 @@ import (
 	"clsm/internal/memtable"
 	"clsm/internal/obs"
 	"clsm/internal/syncutil"
+	"clsm/internal/version"
 	"clsm/internal/vlog"
 )
 
@@ -70,7 +71,7 @@ func (db *DB) GetAt(key []byte, ts uint64) (value []byte, ok bool, err error) {
 	start := time.Now()
 	defer func() { db.obs.Record(obs.OpGet, time.Since(start)) }()
 	for attempt := 0; ; attempt++ {
-		value, ok, err = db.getAtOnce(key, ts)
+		_, value, ok, err = db.read(key, ts)
 		if err != nil && errors.Is(err, vlog.ErrRetired) && attempt < maxDerefRetries {
 			// The pointer's segment was GC-retired between the component
 			// search and the dereference; the newest version of the key
@@ -81,65 +82,134 @@ func (db *DB) GetAt(key []byte, ts uint64) (value []byte, ok bool, err error) {
 	}
 }
 
-// getAtOnce is one component-search + dereference pass of GetAt.
-func (db *DB) getAtOnce(key []byte, ts uint64) (value []byte, ok bool, err error) {
-	// Pm
-	if mt := syncutil.Acquire[memtable.Table](&db.mem); mt != nil {
-		v, _, kind, found := mt.GetKind(key, ts)
-		if found {
-			if kind == keys.KindValuePtr {
-				value, err = db.derefValue(v)
-				mt.Unref()
-				return value, err == nil, err
-			}
-			v = cloneValue(v, mt)
-			mt.Unref()
-			if kind == keys.KindDelete {
-				return nil, false, nil
-			}
-			return v, true, nil
+// view is one reader's pinned component set. Pm and P'm are acquired with
+// the RCU protocol when the view is taken; Pd is acquired after them, on
+// the first lookup that misses both memtables, so a read served from
+// memory never touches the version refcount. Loading in data-flow order
+// Pm → P'm → Pd — the reverse of the order a merge updates them (§3.1) —
+// means a concurrent rotation can at worst make a version appear in two
+// pinned components, never in none. Every point read in the engine takes
+// its components through a view, and only through a view.
+type view struct {
+	db  *DB
+	mem *memtable.Table
+	imm *memtable.Table
+	cur *version.Version
+	sk  *[]byte // pooled seek key, taken with cur
+}
+
+// pin takes a view. The caller must release it; values a lookup returns
+// alias the pinned components, so resolve them before release.
+func (db *DB) pin() view {
+	mem := syncutil.Acquire[memtable.Table](&db.mem) // Pm before P'm
+	imm := syncutil.Acquire[memtable.Table](&db.imm)
+	return view{db: db, mem: mem, imm: imm}
+}
+
+func (v *view) release() {
+	if v.mem != nil {
+		v.mem.Unref()
+	}
+	if v.imm != nil {
+		v.imm.Unref()
+	}
+	if v.cur != nil {
+		v.cur.Unref()
+		seekScratch.Put(v.sk)
+	}
+}
+
+// source names the component that served a lookup.
+type source uint8
+
+const (
+	absent source = iota // no component holds a version at or below ts
+	fromPm
+	fromImm
+	fromPd
+)
+
+// hit is one lookup's answer: the newest version's stored bytes (an
+// inline value or an encoded value-log pointer, aliasing the component),
+// its timestamp and kind, and the component that served it.
+type hit struct {
+	raw  []byte
+	ts   uint64
+	kind keys.Kind
+	src  source
+}
+
+// readTS is the conflict baseline a hit gives InsertRMWKind (Algorithm 3):
+// the version's timestamp when Pm served it, and 0 otherwise. Under the
+// shared lock the memtable cannot rotate, so every Pm version of the key
+// is strictly newer than a version found below Pm: "a version newer than
+// ours appeared in Pm" is exactly "any version of the key is in Pm", which
+// a baseline of 0 encodes. A retry re-reads through Pm and adopts the
+// interfering version.
+func (h hit) readTS() uint64 {
+	if h.src == fromPm {
+		return h.ts
+	}
+	return 0
+}
+
+// lookup is the engine's one point search: the newest version of key at
+// or below ts, searched Pm → P'm → Pd. Rotation is a write barrier, so the
+// first component holding the key holds its newest version, and a
+// tombstone there ends the search like any other version.
+func (v *view) lookup(key []byte, ts uint64) (hit, error) {
+	if v.mem != nil {
+		if raw, vts, kind, ok := v.mem.GetKind(key, ts); ok {
+			return hit{raw: raw, ts: vts, kind: kind, src: fromPm}, nil
 		}
-		mt.Unref()
 	}
-	// P'm
-	if imm := syncutil.Acquire[memtable.Table](&db.imm); imm != nil {
-		v, _, kind, found := imm.GetKind(key, ts)
-		if found {
-			if kind == keys.KindValuePtr {
-				value, err = db.derefValue(v)
-				imm.Unref()
-				return value, err == nil, err
-			}
-			v = cloneValue(v, imm)
-			imm.Unref()
-			if kind == keys.KindDelete {
-				return nil, false, nil
-			}
-			return v, true, nil
+	if v.imm != nil {
+		if raw, vts, kind, ok := v.imm.GetKind(key, ts); ok {
+			return hit{raw: raw, ts: vts, kind: kind, src: fromImm}, nil
 		}
-		imm.Unref()
 	}
-	// Pd
-	cur := db.versions.Current()
-	if cur == nil {
-		return nil, false, ErrClosed
+	if v.cur == nil {
+		if v.cur = v.db.versions.Current(); v.cur == nil {
+			return hit{}, ErrClosed
+		}
+		v.sk = seekScratch.Get().(*[]byte)
 	}
-	defer cur.Unref()
-	sk := seekScratch.Get().(*[]byte)
-	*sk = keys.AppendSeek((*sk)[:0], key, ts)
-	v, _, kind, found, err := cur.Get(*sk)
-	seekScratch.Put(sk)
-	if err != nil || !found || kind == keys.KindDelete {
-		return nil, false, err
+	*v.sk = keys.AppendSeek((*v.sk)[:0], key, ts)
+	raw, vts, kind, ok, err := v.cur.Get(*v.sk)
+	if err != nil || !ok {
+		return hit{}, err
 	}
-	if kind == keys.KindValuePtr {
-		value, err = db.derefValue(v)
+	return hit{raw: raw, ts: vts, kind: kind, src: fromPd}, nil
+}
+
+// resolve turns a hit into user bytes: a tombstone (or a miss) is absent,
+// a value-log pointer is dereferenced, and a memtable value is copied out.
+// SSTable values alias cached blocks, which the garbage collector keeps
+// alive for as long as the caller holds the slice; they are not copied.
+// Call it before releasing the view the hit came from.
+func (db *DB) resolve(h hit) (value []byte, ok bool, err error) {
+	switch {
+	case h.src == absent || h.kind == keys.KindDelete:
+		return nil, false, nil
+	case h.kind == keys.KindValuePtr:
+		value, err = db.derefValue(h.raw)
 		return value, err == nil, err
+	case h.src == fromPd:
+		return h.raw, true, nil
 	}
-	// SSTable values alias cached blocks, which the garbage collector
-	// keeps alive for as long as the caller holds the slice; no copy is
-	// needed.
-	return v, true, nil
+	return cloneValue(h.raw), true, nil
+}
+
+// read is one point read over a fresh view: pin → lookup → resolve →
+// release. The hit is returned for its timestamp and source only; its raw
+// bytes are no longer pinned.
+func (db *DB) read(key []byte, ts uint64) (h hit, value []byte, ok bool, err error) {
+	v := db.pin()
+	if h, err = v.lookup(key, ts); err == nil {
+		value, ok, err = db.resolve(h)
+	}
+	v.release()
+	return h, value, ok, err
 }
 
 // derefValue resolves an encoded value-log pointer to its value bytes,
@@ -162,7 +232,7 @@ func (db *DB) derefValue(ptr []byte) ([]byte, error) {
 // caller may hold the value long after the memtable is discarded; copying
 // keeps Get's contract independent of component lifetime. (Go's GC would
 // keep the arena alive through the slice; the copy bounds memory instead.)
-func cloneValue(v []byte, _ *memtable.Table) []byte {
+func cloneValue(v []byte) []byte {
 	if v == nil {
 		return nil
 	}
@@ -213,84 +283,27 @@ func (db *DB) multiGet(ks [][]byte, ts uint64) ([]Value, error) {
 	start := time.Now()
 	defer func() { db.obs.Record(obs.OpMultiGet, time.Since(start)) }()
 
-	// Pin the components once, in the same data-flow order as Get.
-	mt := syncutil.Acquire[memtable.Table](&db.mem)
-	if mt != nil {
-		defer mt.Unref()
-	}
-	imm := syncutil.Acquire[memtable.Table](&db.imm)
-	if imm != nil {
-		defer imm.Unref()
-	}
-	cur := db.versions.Current()
-	if cur == nil {
-		return nil, ErrClosed
-	}
-	defer cur.Unref()
-	sk := seekScratch.Get().(*[]byte)
-	defer seekScratch.Put(sk)
-
+	// One view for the whole batch, pinned in the same data-flow order as
+	// Get.
+	v := db.pin()
+	defer v.release()
 	out := make([]Value, len(ks))
 	for i, key := range ks {
-		// deref resolves a pointer hit for this key; a retired segment
-		// (GC raced the batch's pinned components) falls back to a fresh
-		// single-key lookup, which re-pins the newest version.
-		deref := func(ptr []byte) error {
-			v, err := db.derefValue(ptr)
-			if err == nil {
-				out[i] = Value{Data: v, Exists: true}
-				return nil
-			}
-			if !errors.Is(err, vlog.ErrRetired) {
-				return err
-			}
-			v, ok, err := db.GetAt(key, ts)
-			if err != nil {
-				return err
-			}
-			out[i] = Value{Data: v, Exists: ok}
-			return nil
-		}
-		if mt != nil {
-			if v, _, kind, found := mt.GetKind(key, ts); found {
-				if kind == keys.KindValuePtr {
-					if err := deref(v); err != nil {
-						return nil, err
-					}
-				} else if kind != keys.KindDelete {
-					out[i] = Value{Data: cloneValue(v, mt), Exists: true}
-				}
-				continue
-			}
-		}
-		if imm != nil {
-			if v, _, kind, found := imm.GetKind(key, ts); found {
-				if kind == keys.KindValuePtr {
-					if err := deref(v); err != nil {
-						return nil, err
-					}
-				} else if kind != keys.KindDelete {
-					out[i] = Value{Data: cloneValue(v, imm), Exists: true}
-				}
-				continue
-			}
-		}
-		*sk = keys.AppendSeek((*sk)[:0], key, ts)
-		v, _, kind, found, err := cur.Get(*sk)
+		h, err := v.lookup(key, ts)
 		if err != nil {
 			return nil, err
 		}
-		if !found || kind == keys.KindDelete {
-			continue
+		data, ok, err := db.resolve(h)
+		if errors.Is(err, vlog.ErrRetired) {
+			// GC retired the pointer's segment after the batch pinned its
+			// components; a fresh single-key lookup re-pins the newest
+			// version, which carries the relocated pointer.
+			data, ok, err = db.GetAt(key, ts)
 		}
-		if kind == keys.KindValuePtr {
-			if err := deref(v); err != nil {
-				return nil, err
-			}
-			continue
+		if err != nil {
+			return nil, err
 		}
-		// SSTable values alias cached blocks (see GetAt); no copy.
-		out[i] = Value{Data: v, Exists: true}
+		out[i] = Value{Data: data, Exists: ok}
 	}
 	return out, nil
 }

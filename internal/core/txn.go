@@ -9,7 +9,6 @@ import (
 
 	"clsm/internal/batch"
 	"clsm/internal/keys"
-	"clsm/internal/memtable"
 	"clsm/internal/obs"
 	"clsm/internal/wal"
 )
@@ -232,13 +231,20 @@ func (t *Txn) CommitCtx(ctx context.Context) error {
 	logger := db.log.Load()
 
 	// Phase 1: no read- or write-set key may have a version newer than
-	// the snapshot in any component, Pm → P'm → Pd. No timestamp is held,
-	// so the walk's disk reads stall no snapshot and no other commit.
-	if key, vts, err := db.validateIntervalLocked(mt, t, keys.MaxTimestamp, false); err != nil {
+	// the snapshot in any component: one lookup per key, Pm → P'm → Pd.
+	// No timestamp is held, so the walk's disk reads stall no snapshot
+	// and no other commit.
+	v := db.pin()
+	key, vts, err := t.firstNewer(func(k []byte) (uint64, error) {
+		h, err := v.lookup(k, keys.MaxTimestamp)
+		return h.ts, err
+	})
+	v.release()
+	if err != nil || key != "" {
 		db.lock.UnlockShared()
-		return err
-	} else if key != "" {
-		db.lock.UnlockShared()
+		if err != nil {
+			return err
+		}
 		return db.txnConflict(t, key, vts)
 	}
 
@@ -246,16 +252,18 @@ func (t *Txn) CommitCtx(ctx context.Context) error {
 	// Fence(first-1) every write with a lower timestamp is in Pm or has
 	// rolled back to a timestamp above the range, so the interval
 	// (snapshot, first) is final. Any version phase 1 missed landed in
-	// the pinned Pm, which makes a Pm-only re-check exact. The range's
-	// Active slot keeps every snapshot below the commit until Done.
+	// the pinned Pm, which makes a Pm-only probe at first-1 exact. The
+	// range's Active slot keeps every snapshot below the commit until
+	// Done.
 	first, slot := db.oracle.GetTSBatch(uint64(b.Len()))
 	db.oracle.Fence(first - 1)
-	if key, vts, err := db.validateIntervalLocked(mt, t, first-1, true); err != nil || key != "" {
+	key, vts, _ = t.firstNewer(func(k []byte) (uint64, error) { // a Pm probe cannot fail
+		_, vts, _, _ := mt.GetKind(k, first-1)
+		return vts, nil
+	})
+	if key != "" {
 		db.oracle.Done(slot)
 		db.lock.UnlockShared()
-		if err != nil {
-			return err
-		}
 		return db.txnConflict(t, key, vts)
 	}
 
@@ -294,59 +302,22 @@ func (db *DB) txnConflict(t *Txn, key string, vts uint64) error {
 		key, vts, t.ts, ErrTxnConflict)
 }
 
-// validateIntervalLocked returns the first key in the transaction's read
-// or write set whose newest version at or below upTo is newer than the
-// snapshot ("" if none). Caller holds the shared lock, which pins mt.
-// Components are checked in data-flow order Pm → P'm → Pd; rotation is a
-// write barrier, so the first component holding the key holds its newest
-// version. With pmOnly, only mt is checked: the commit's re-check after
-// its fence, when every version an earlier full walk could have missed
-// is in mt.
-//
-// A key that is absent everywhere validates trivially: tombstones are only
+// firstNewer returns the first key in the transaction's read or write set
+// whose version, as reported by probe, is newer than the snapshot ("" if
+// none). probe returns a version timestamp, 0 for an absent key. A key
+// that is absent everywhere validates trivially: tombstones are only
 // elided by compaction when no older version remains, so "absent" cannot
 // mask a version written inside the interval.
-func (db *DB) validateIntervalLocked(mt *memtable.Table, t *Txn, upTo uint64, pmOnly bool) (key string, vts uint64, err error) {
-	sk := seekScratch.Get().(*[]byte)
-	defer seekScratch.Put(sk)
-	check := func(k string) (uint64, error) {
-		kb := []byte(k)
-		if _, ts, _, found := mt.GetWithTS(kb, upTo); found || pmOnly {
-			return ts, nil
-		}
-		if imm := db.imm.Load(); imm != nil {
-			if _, ts, _, found := imm.GetWithTS(kb, keys.MaxTimestamp); found {
-				return ts, nil
-			}
-		}
-		cur := db.versions.Current()
-		if cur == nil {
-			return 0, ErrClosed
-		}
-		defer cur.Unref()
-		*sk = keys.AppendSeek((*sk)[:0], kb, keys.MaxTimestamp)
-		_, ts, _, found, err := cur.Get(*sk)
-		if err != nil || !found {
-			return 0, err
-		}
-		return ts, nil
-	}
+func (t *Txn) firstNewer(probe func(key []byte) (uint64, error)) (key string, vts uint64, err error) {
 	for k := range t.reads {
-		ts, err := check(k)
-		if err != nil {
-			return "", 0, err
-		}
-		if ts > t.ts {
-			return k, ts, nil
+		if vts, err := probe([]byte(k)); err != nil || vts > t.ts {
+			return k, vts, err
 		}
 	}
 	for i := range t.writes {
-		ts, err := check(string(t.writes[i].key))
-		if err != nil {
-			return "", 0, err
-		}
-		if ts > t.ts {
-			return string(t.writes[i].key), ts, nil
+		k := t.writes[i].key
+		if vts, err := probe(k); err != nil || vts > t.ts {
+			return string(k), vts, err
 		}
 	}
 	return "", 0, nil

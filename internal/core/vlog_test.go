@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"clsm/internal/faultfs"
+	"clsm/internal/health"
 	"clsm/internal/storage"
 	"clsm/internal/version"
 )
@@ -306,5 +311,110 @@ func TestVlogDisabledParity(t *testing.T) {
 	}
 	if err := db.CompactValueLog(context.Background()); err != nil {
 		t.Fatalf("CompactValueLog on inline store: %v", err)
+	}
+}
+
+// TestVlogCloseDuringGCRewrite: Close landing while a background value-log
+// GC rewrite is running must return nil and leave the store's health
+// alone. The rewrite notices shutdown and returns ErrClosed; settling that
+// as a fault would hand Close a spurious error and report a transition to
+// Failed. The first session leaves a live entry in every segment (no
+// candidate at ratio 1); the second opens at ratio 0.3, so the planner's
+// GC job starts rewriting, and a filesystem hook parks its first relink
+// append until Close has begun.
+func TestVlogCloseDuringGCRewrite(t *testing.T) {
+	ffs := faultfs.Wrap(storage.NewMemFS())
+	opts := vlogTestOptions(ffs)
+	opts.ValueLogGCRatio = 1
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds, nKeys = 30, 8
+	want := map[string][]byte{}
+	put := func(k string, v []byte) {
+		if err := db.Put([]byte(k), v); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	for r := 0; r < rounds; r++ {
+		put(fmt.Sprintf("live%03d", r), bigVal(r, 300))
+		for i := 0; i < nKeys; i++ {
+			put(fmt.Sprintf("hot%03d", i), bigVal(1000+r*nKeys+i, 300))
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CompactRange(); err != nil {
+		t.Fatal(err)
+	}
+	if m := db.Metrics(); m.VlogGarbageBytes == 0 || m.VlogGCRuns != 0 {
+		t.Fatalf("setup: vlog garbage %d bytes, %d GC runs; want garbage and no run yet",
+			m.VlogGarbageBytes, m.VlogGCRuns)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	inRewrite := make(chan struct{})
+	release := make(chan struct{})
+	var parked sync.Once
+	ffs.SetHook(func(p faultfs.Point) {
+		// After reopen nothing but the GC relink appends to the value log.
+		if p.Op == faultfs.OpWrite && strings.HasSuffix(p.Name, ".vlg") {
+			parked.Do(func() {
+				close(inRewrite)
+				<-release
+			})
+		}
+	})
+	var trMu sync.Mutex
+	var transitions []health.Transition
+	opts = vlogTestOptions(ffs)
+	opts.OnHealthChange = func(tr health.Transition) {
+		trMu.Lock()
+		transitions = append(transitions, tr)
+		trMu.Unlock()
+	}
+	db, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-inRewrite:
+	case <-time.After(10 * time.Second):
+		close(release)
+		db.Close()
+		t.Fatal("background value-log GC never started a rewrite")
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- db.Close() }()
+	<-db.closing
+	close(release)
+	if err := <-closed; err != nil {
+		t.Errorf("Close during a GC rewrite = %v, want nil", err)
+	}
+	trMu.Lock()
+	for _, tr := range transitions {
+		if tr.To == health.Failed {
+			t.Errorf("Close during a GC rewrite reported %v -> %v (%v)", tr.From, tr.To, tr.Cause)
+		}
+	}
+	trMu.Unlock()
+
+	// The interrupted rewrite lost nothing.
+	ffs.SetHook(nil)
+	db, err = Open(vlogTestOptions(ffs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for k, v := range want {
+		got, ok, err := db.Get([]byte(k))
+		if err != nil || !ok || !bytes.Equal(got, v) {
+			t.Fatalf("after reopen: Get %s = ok=%v err=%v (%d bytes)", k, ok, err, len(got))
+		}
 	}
 }

@@ -200,26 +200,27 @@ func (db *DB) relinkValue(key []byte, ts uint64, ptr vlog.Pointer, value []byte,
 	newTS, slot := db.oracle.GetTSBackground()
 	defer db.oracle.Done(slot)
 	db.oracle.Fence(newTS - 1)
-	raw, vts, kind, readTS, found, err := db.readLatestRawLocked(mt, key)
-	if err != nil {
-		return err
-	}
 	// Live means: the newest version is a pointer entry naming exactly
 	// this segment and offset. Timestamp equality alone is not enough —
 	// a GC crash after relinking leaves two pointer versions to the same
 	// value, and only the one actually stored must be chased.
-	if !found || kind != keys.KindValuePtr || vts != ts {
-		return nil
+	v := db.pin()
+	h, err := v.lookup(key, keys.MaxTimestamp)
+	live := err == nil && h.src != absent && h.kind == keys.KindValuePtr && h.ts == ts
+	if live {
+		p, ok := vlog.DecodePointer(h.raw)
+		live = ok && p.Seg == ptr.Seg && p.Off == ptr.Off
 	}
-	if p, ok := vlog.DecodePointer(raw); !ok || p.Seg != ptr.Seg || p.Off != ptr.Off {
-		return nil
+	v.release()
+	if err != nil || !live {
+		return err
 	}
 	np, err := db.vlog.Append(key, newTS, value)
 	if err != nil {
 		return err
 	}
 	nb := vlog.AppendPointer(nil, np)
-	if !mt.InsertRMWKind(key, newTS, keys.KindValuePtr, nb, readTS) {
+	if !mt.InsertRMWKind(key, newTS, keys.KindValuePtr, nb, h.readTS()) {
 		return nil // concurrent writer superseded the value: nothing to relink
 	}
 	if logger := db.log.Load(); logger != nil {

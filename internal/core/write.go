@@ -229,7 +229,7 @@ func (db *DB) RMW(key []byte, f func(old []byte, exists bool) []byte) error {
 
 	for attempt := 0; ; attempt++ {
 		// Read step (Alg. 3 line 4): newest version across Pm, P'm, Pd.
-		val, readTS, exists, err := db.readLatestLocked(mt, key)
+		h, val, exists, err := db.read(key, keys.MaxTimestamp)
 		if err != nil {
 			if errors.Is(err, vlog.ErrRetired) && attempt < maxDerefRetries {
 				// GC relocated the value between the component search and
@@ -247,7 +247,7 @@ func (db *DB) RMW(key []byte, f func(old []byte, exists bool) []byte) error {
 			db.oracle.Done(slot)
 			return verr
 		}
-		if mt.InsertRMWKind(key, ts, kind, stored, readTS) {
+		if mt.InsertRMWKind(key, ts, kind, stored, h.readTS()) {
 			if logger != nil {
 				buf := wal.GetBuf()
 				*buf = batch.AppendSingle((*buf)[:0], kind, ts, key, stored)
@@ -323,61 +323,6 @@ func (db *DB) routeBatch(b *batch.Batch, logged bool) error {
 		return db.vlog.WaitSync()
 	}
 	return nil
-}
-
-// readLatestLocked returns the newest version of key and its timestamp,
-// dereferencing a value-log pointer so the caller always sees value bytes.
-// The caller holds the shared lock, so the memtable cannot rotate and any
-// conflicting concurrent write must land in mt.
-func (db *DB) readLatestLocked(mt *memtable.Table, key []byte) (value []byte, readTS uint64, exists bool, err error) {
-	raw, _, kind, readTS, found, err := db.readLatestRawLocked(mt, key)
-	if err != nil || !found {
-		return nil, 0, false, err
-	}
-	if kind == keys.KindDelete {
-		return nil, readTS, false, nil
-	}
-	if kind == keys.KindValuePtr {
-		v, err := db.derefValue(raw)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		return v, readTS, true, nil
-	}
-	return raw, readTS, true, nil
-}
-
-// readLatestRawLocked is the undereferenced read step shared by RMW and
-// value-log GC: the newest version's raw stored bytes (an inline value or
-// an encoded pointer), its kind and timestamp, and the conflict baseline
-// readTS for InsertRMW. readTS is the version's timestamp when the hit came
-// from Pm and 0 otherwise: every Pm version of the key is strictly newer
-// than a non-Pm read (rotation is a write barrier and the shared lock is
-// held), so "a version newer than ours appeared in Pm" is exactly "any
-// version of the key is in Pm" — a baseline of 0 encodes that, and a retry
-// re-reads through Pm and adopts the interfering version.
-func (db *DB) readLatestRawLocked(mt *memtable.Table, key []byte) (value []byte, vts uint64, kind keys.Kind, readTS uint64, found bool, err error) {
-	if v, ts, k, ok := mt.GetKind(key, keys.MaxTimestamp); ok {
-		return v, ts, k, ts, true, nil
-	}
-	if imm := db.imm.Load(); imm != nil {
-		if v, ts, k, ok := imm.GetKind(key, keys.MaxTimestamp); ok {
-			return v, ts, k, 0, true, nil
-		}
-	}
-	cur := db.versions.Current()
-	if cur == nil {
-		return nil, 0, 0, 0, false, ErrClosed
-	}
-	defer cur.Unref()
-	sk := seekScratch.Get().(*[]byte)
-	*sk = keys.AppendSeek((*sk)[:0], key, keys.MaxTimestamp)
-	v, ts, k, ok, err := cur.Get(*sk)
-	seekScratch.Put(sk)
-	if err != nil || !ok {
-		return nil, 0, 0, 0, false, err
-	}
-	return v, ts, k, 0, true, nil
 }
 
 // maybeTriggerFlush kicks the scheduler's planner when the mutable memtable

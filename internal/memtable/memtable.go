@@ -15,7 +15,7 @@ import (
 )
 
 // ikeyScratch pools the transient internal-key encodings built by Add and
-// InsertRMW. The skip list copies the key into its arena, so the scratch
+// InsertRMWKind. The skip list copies the key into its arena, so the scratch
 // can be recycled the moment Insert returns — making the write path free of
 // per-operation allocations.
 var ikeyScratch = sync.Pool{New: func() any { return new([]byte) }}
@@ -45,49 +45,19 @@ func (t *Table) Add(key []byte, ts uint64, kind keys.Kind, value []byte) {
 	ikeyScratch.Put(buf)
 }
 
-// Get returns the newest version of key visible at ts.
-// found=false means the table holds no visible version; deleted=true means
-// that version is a tombstone (the search must NOT continue to older
-// components).
-func (t *Table) Get(key []byte, ts uint64) (value []byte, deleted, found bool) {
-	v, _, kind, ok := t.list.Get(key, ts)
-	if !ok {
-		return nil, false, false
-	}
-	if kind == keys.KindDelete {
-		return nil, true, true
-	}
-	return v, false, true
-}
-
-// GetWithTS additionally reports the version's timestamp — the read step of
-// Algorithm 3.
-func (t *Table) GetWithTS(key []byte, ts uint64) (value []byte, valTS uint64, deleted, found bool) {
-	v, vts, kind, ok := t.list.Get(key, ts)
-	if !ok {
-		return nil, 0, false, false
-	}
-	if kind == keys.KindDelete {
-		return nil, vts, true, true
-	}
-	return v, vts, false, true
-}
-
-// GetKind is Get surfacing the raw entry kind: the value-log read path
-// needs to distinguish an inline value (KindValue) from an encoded vlog
-// pointer (KindValuePtr) without decoding heuristics.
+// GetKind returns the newest version of key visible at ts: its stored
+// bytes, timestamp and raw entry kind. found=false means the table holds
+// no visible version. A KindDelete hit is a tombstone — the search must
+// NOT continue to older components — and a KindValuePtr hit is an encoded
+// value-log pointer rather than the value itself.
 func (t *Table) GetKind(key []byte, ts uint64) (value []byte, valTS uint64, kind keys.Kind, found bool) {
 	return t.list.Get(key, ts)
 }
 
-// InsertRMW attempts one conflict-checked insert (Algorithm 3) of kind
-// KindValue; see skiplist.List.InsertRMW.
-func (t *Table) InsertRMW(key []byte, ts uint64, value []byte, readTS uint64) bool {
-	return t.InsertRMWKind(key, ts, keys.KindValue, value, readTS)
-}
-
-// InsertRMWKind is InsertRMW with an explicit kind: value-log GC relinks
-// insert KindValuePtr entries through the same conflict check.
+// InsertRMWKind attempts one conflict-checked insert (Algorithm 3) of a
+// version of the given kind; see skiplist.List.InsertRMW. RMW inserts
+// values or value-log pointers, and value-log GC relinks insert
+// KindValuePtr entries through the same check.
 func (t *Table) InsertRMWKind(key []byte, ts uint64, kind keys.Kind, value []byte, readTS uint64) bool {
 	buf := ikeyScratch.Get().(*[]byte)
 	*buf = keys.Encode((*buf)[:0], key, ts, kind)

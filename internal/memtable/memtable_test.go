@@ -17,18 +17,18 @@ func TestAddGetVersions(t *testing.T) {
 	mt.Add([]byte("k"), 5, keys.KindValue, []byte("v5"))
 	mt.Add([]byte("k"), 9, keys.KindValue, []byte("v9"))
 
-	v, deleted, found := mt.Get([]byte("k"), keys.MaxTimestamp)
-	if !found || deleted || string(v) != "v9" {
-		t.Fatalf("Get = %q,%v,%v", v, deleted, found)
+	v, ts, kind, found := mt.GetKind([]byte("k"), keys.MaxTimestamp)
+	if !found || kind != keys.KindValue || ts != 9 || string(v) != "v9" {
+		t.Fatalf("GetKind = %q,%d,%v,%v", v, ts, kind, found)
 	}
-	v, _, found = mt.Get([]byte("k"), 6)
-	if !found || string(v) != "v5" {
-		t.Fatalf("Get@6 = %q,%v", v, found)
+	v, ts, _, found = mt.GetKind([]byte("k"), 6)
+	if !found || ts != 5 || string(v) != "v5" {
+		t.Fatalf("GetKind@6 = %q,%d,%v", v, ts, found)
 	}
-	if _, _, found := mt.Get([]byte("k"), 4); found {
-		t.Fatal("Get@4 should miss")
+	if _, _, _, found := mt.GetKind([]byte("k"), 4); found {
+		t.Fatal("GetKind@4 should miss")
 	}
-	if _, _, found := mt.Get([]byte("x"), keys.MaxTimestamp); found {
+	if _, _, _, found := mt.GetKind([]byte("x"), keys.MaxTimestamp); found {
 		t.Fatal("absent key found")
 	}
 }
@@ -39,38 +39,49 @@ func TestTombstoneStopsSearch(t *testing.T) {
 	mt.Add([]byte("k"), 5, keys.KindValue, []byte("v"))
 	mt.Add([]byte("k"), 8, keys.KindDelete, nil)
 
-	_, deleted, found := mt.Get([]byte("k"), keys.MaxTimestamp)
-	if !found || !deleted {
-		t.Fatalf("tombstone not surfaced: deleted=%v found=%v", deleted, found)
+	_, ts, kind, found := mt.GetKind([]byte("k"), keys.MaxTimestamp)
+	if !found || kind != keys.KindDelete || ts != 8 {
+		t.Fatalf("tombstone not surfaced: kind=%v ts=%d found=%v", kind, ts, found)
 	}
 	// Below the tombstone the old value is visible.
-	v, deleted, found := mt.Get([]byte("k"), 6)
-	if !found || deleted || string(v) != "v" {
-		t.Fatalf("Get@6 = %q,%v,%v", v, deleted, found)
+	v, _, kind, found := mt.GetKind([]byte("k"), 6)
+	if !found || kind != keys.KindValue || string(v) != "v" {
+		t.Fatalf("GetKind@6 = %q,%v,%v", v, kind, found)
 	}
 }
 
+// TestGetWithTS: the getter reports the version's timestamp (the read
+// step of Algorithm 3) and its raw kind, so a value-log pointer is told
+// apart from an inline value.
 func TestGetWithTS(t *testing.T) {
 	mt := New(1)
 	defer mt.Unref()
 	mt.Add([]byte("k"), 42, keys.KindValue, []byte("v"))
-	v, ts, deleted, found := mt.GetWithTS([]byte("k"), keys.MaxTimestamp)
-	if !found || deleted || ts != 42 || string(v) != "v" {
-		t.Fatalf("GetWithTS = %q,%d,%v,%v", v, ts, deleted, found)
+	mt.Add([]byte("p"), 43, keys.KindValuePtr, []byte("ptr"))
+	v, ts, kind, found := mt.GetKind([]byte("k"), keys.MaxTimestamp)
+	if !found || kind != keys.KindValue || ts != 42 || string(v) != "v" {
+		t.Fatalf("GetKind(k) = %q,%d,%v,%v", v, ts, kind, found)
+	}
+	v, ts, kind, found = mt.GetKind([]byte("p"), keys.MaxTimestamp)
+	if !found || kind != keys.KindValuePtr || ts != 43 || string(v) != "ptr" {
+		t.Fatalf("GetKind(p) = %q,%d,%v,%v", v, ts, kind, found)
 	}
 }
 
 func TestInsertRMWThroughMemtable(t *testing.T) {
 	mt := New(1)
 	defer mt.Unref()
-	if !mt.InsertRMW([]byte("k"), 5, []byte("a"), 0) {
+	if !mt.InsertRMWKind([]byte("k"), 5, keys.KindValue, []byte("a"), 0) {
 		t.Fatal("first RMW insert failed")
 	}
-	if mt.InsertRMW([]byte("k"), 7, []byte("b"), 0) {
+	if mt.InsertRMWKind([]byte("k"), 7, keys.KindValue, []byte("b"), 0) {
 		t.Fatal("conflicting RMW insert succeeded")
 	}
-	if !mt.InsertRMW([]byte("k"), 7, []byte("b"), 5) {
+	if !mt.InsertRMWKind([]byte("k"), 7, keys.KindValuePtr, []byte("p"), 5) {
 		t.Fatal("RMW with fresh read failed")
+	}
+	if _, ts, kind, _ := mt.GetKind([]byte("k"), keys.MaxTimestamp); ts != 7 || kind != keys.KindValuePtr {
+		t.Fatalf("newest version = ts %d kind %v, want the pointer at 7", ts, kind)
 	}
 }
 

@@ -56,10 +56,8 @@ type Profile struct {
 }
 
 // Profiles, selected by Options.SchedulerProfile. "default" balances
-// recovery speed against stall smoothness; "throughput" decays gently and
-// recovers fast (batch loads that tolerate latency wobble); "latency"
-// decays hard and recovers cautiously (serving tiers where tail latency
-// rules); "legacy" is the pre-scheduler binary gate.
+// recovery speed against stall smoothness; "legacy" is the pre-scheduler
+// binary gate, the stall benchmark's A/B baseline.
 func ProfileByName(name string) (Profile, error) {
 	switch name {
 	case "", "default":
@@ -72,30 +70,10 @@ func ProfileByName(name string) (Profile, error) {
 			DecayStop:   0.5,
 			RecoverStep: 1 << 20,
 		}, nil
-	case "throughput":
-		return Profile{
-			Name:        "throughput",
-			InitialRate: 128 << 20,
-			MinRate:     4 << 20,
-			MaxRate:     1 << 30,
-			DecaySlow:   0.9,
-			DecayStop:   0.7,
-			RecoverStep: 16 << 20,
-		}, nil
-	case "latency":
-		return Profile{
-			Name:        "latency",
-			InitialRate: 32 << 20,
-			MinRate:     256 << 10,
-			MaxRate:     256 << 20,
-			DecaySlow:   0.7,
-			DecayStop:   0.35,
-			RecoverStep: 2 << 20,
-		}, nil
 	case "legacy":
 		return Profile{Name: "legacy", Legacy: true}, nil
 	}
-	return Profile{}, fmt.Errorf("unknown scheduler profile %q (want default, throughput, latency, or legacy)", name)
+	return Profile{}, fmt.Errorf("unknown scheduler profile %q (want default or legacy)", name)
 }
 
 // Change reports what a tuner step did, so the engine can emit trace

@@ -6,7 +6,7 @@ import (
 )
 
 func TestProfileByName(t *testing.T) {
-	for _, name := range []string{"", "default", "throughput", "latency", "legacy"} {
+	for _, name := range []string{"", "default", "legacy"} {
 		p, err := ProfileByName(name)
 		if err != nil {
 			t.Fatalf("ProfileByName(%q): %v", name, err)
@@ -17,8 +17,10 @@ func TestProfileByName(t *testing.T) {
 			t.Fatalf("profile %q has inconsistent parameters: %+v", name, p)
 		}
 	}
-	if _, err := ProfileByName("warp-speed"); err == nil {
-		t.Fatal("unknown profile accepted")
+	for _, name := range []string{"warp-speed", "throughput", "latency"} {
+		if _, err := ProfileByName(name); err == nil {
+			t.Fatalf("unknown profile %q accepted", name)
+		}
 	}
 }
 

@@ -113,11 +113,10 @@ type Options struct {
 	WriteRateLimit int64
 
 	// SchedulerProfile selects the background scheduler and write-throttle
-	// tuning preset: "default" (balanced), "throughput" (gentle decay, fast
-	// recovery), "latency" (hard decay, cautious recovery), or "legacy"
-	// (the historical binary L0 slowdown/stop gate, no auto-tuning — kept
-	// for A/B measurement). Empty selects "default". Open rejects unknown
-	// names with ErrInvalidOptions.
+	// tuning preset: "default" (balanced) or "legacy" (the historical
+	// binary L0 slowdown/stop gate, no auto-tuning — kept for A/B
+	// measurement). Empty selects "default". Open rejects unknown names
+	// with ErrInvalidOptions.
 	SchedulerProfile string
 
 	// L0CompactionTrigger is the L0 file count that triggers a
@@ -226,7 +225,7 @@ func WithWriteRateLimit(n int64) Option {
 }
 
 // WithSchedulerProfile selects the background scheduler and write-throttle
-// tuning preset: "default", "throughput", "latency", or "legacy" (see
+// tuning preset: "default" or "legacy" (see
 // Options.SchedulerProfile).
 func WithSchedulerProfile(name string) Option {
 	return func(o *Options) { o.SchedulerProfile = name }

@@ -25,7 +25,7 @@ func TestOpenPathEquivalence(t *testing.T) {
 		SnapshotTTL:           2 * time.Minute,
 		Compression:           true,
 		WriteRateLimit:        4 << 20,
-		SchedulerProfile:      "latency",
+		SchedulerProfile:      "legacy",
 		L0CompactionTrigger:   6,
 		L0SlowdownTrigger:     10,
 		L0StopTrigger:         14,
@@ -45,7 +45,7 @@ func TestOpenPathEquivalence(t *testing.T) {
 		WithSnapshotTTL(2 * time.Minute),
 		WithCompression(true),
 		WithWriteRateLimit(4 << 20),
-		WithSchedulerProfile("latency"),
+		WithSchedulerProfile("legacy"),
 		WithL0Triggers(6, 10, 14),
 		WithValueThreshold(1024),
 		WithValueLogSegmentSize(32 << 20),
@@ -124,7 +124,7 @@ func TestOptionRoundTrip(t *testing.T) {
 		{"WithSnapshotTTL", WithSnapshotTTL(time.Second), []string{"SnapshotTTL"}},
 		{"WithLinearizableSnapshots", WithLinearizableSnapshots(true), []string{"LinearizableSnapshots"}},
 		{"WithWriteRateLimit", WithWriteRateLimit(1), []string{"WriteRateLimit"}},
-		{"WithSchedulerProfile", WithSchedulerProfile("latency"), []string{"SchedulerProfile"}},
+		{"WithSchedulerProfile", WithSchedulerProfile("legacy"), []string{"SchedulerProfile"}},
 		{"WithL0Triggers", WithL0Triggers(1, 2, 3),
 			[]string{"L0CompactionTrigger", "L0SlowdownTrigger", "L0StopTrigger"}},
 		{"WithObserver", WithObserver(func(Event) {}), []string{"EventSink"}},

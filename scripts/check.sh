@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the PR gate: vet, build, and race-test the packages where
 # concurrency bugs would hide (the observability substrate, the WAL
-# group-commit engine, the batch codec, and the engine), then run the
+# group-commit engine, the batch codec, the engine, and the lock-free
+# skip list and memtable under it), then run the
 # allocation-regression tests in a separate non-race pass (the race
 # detector's instrumentation allocates, so those tests carry
 # //go:build !race), then run a bounded crash-consistency matrix and the
@@ -26,7 +27,7 @@ fi
 
 go vet ./...
 go build ./...
-go test -race ./internal/obs ./internal/core ./internal/wal ./internal/batch
+go test -race ./internal/obs ./internal/core ./internal/wal ./internal/batch ./internal/skiplist ./internal/memtable
 go test -cpu 1,2,4 . ./internal/core ./internal/obs ./internal/shard -run 'Allocs'
 go test -race -short -cpu 1,2,4 ./internal/faultfs ./internal/oracle ./internal/crashtest
 go test -race -run 'Health|Degraded|ReadOnly' ./internal/...
